@@ -34,5 +34,5 @@ R5 = Ring(tuple(f"x{i}" for i in range(6)), FieldSpec(P))
 g = R5.gens()
 segre = Ideal(R5, [g[0] * g[4] - g[1] * g[3], g[0] * g[5] - g[2] * g[3],
                    g[1] * g[5] - g[2] * g[4]])
-print("Segre embedding of P^1 x P^2 (takes ~15s):",
+print("Segre embedding of P^1 x P^2 (takes ~2s):",
       euler_characteristic(segre, rng=rng))

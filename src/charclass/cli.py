@@ -236,11 +236,7 @@ def main(argv=None) -> int:
         }
         record = run(args.command, flags, problem)
     except CharclassError as exc:
-        code = EXIT_CODES.get(type(exc), 3)
-        for klass, c in EXIT_CODES.items():
-            if isinstance(exc, klass):
-                code = c
-                break
+        code = next((c for klass, c in EXIT_CODES.items() if isinstance(exc, klass)), 3)
         _emit_error(args, exc, code)
         return code
     except (MemoryError, RecursionError) as exc:

@@ -259,9 +259,9 @@ def csm_subscheme(
 ) -> CsmResult:
     """CSM class data of V(I) by inclusion-exclusion over generator products.
 
-    Costs 2^s - 1 hypersurface computations for s generators (memoized on
-    subsets).  The zero ideal returns c_SM(P^n); the unit ideal is a domain
-    error (empty scheme).
+    Costs 2^s - 1 hypersurface computations for s generators, one per
+    nonempty subset.  The zero ideal returns c_SM(P^n); the unit ideal is a
+    domain error (empty scheme).
     """
     rng = rng or random.Random()
     n = I.ring.nvars - 1
@@ -281,18 +281,12 @@ def csm_subscheme(
     if s > 10:
         log.warning("inclusion-exclusion over %d generators: 2^%d - 1 terms", s, s)
     total = ClassExpr.zero(n)
-    cache = {}
     for size in range(1, s + 1):
         for subset in itertools.combinations(range(s), size):
             prod = I.gens[subset[0]]
             for idx in subset[1:]:
                 prod = prod * I.gens[idx]
-            result = cache.get(subset)
-            if result is None:
-                result = csm_hypersurface(
-                    prod, backend=backend, rng=rng, cfg=cfg, verify=verify
-                )
-                cache[subset] = result
+            result = csm_hypersurface(prod, backend=backend, rng=rng, cfg=cfg, verify=verify)
             sign = 1 if size % 2 == 1 else -1
             total = total + sign * result.pushforward
     dim = stats.dim

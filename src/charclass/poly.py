@@ -605,6 +605,59 @@ def dehomogenize(f: Polynomial, index: int) -> Polynomial:
     return Polynomial(target, out)
 
 
+def substitute_linear(polys, images) -> list:
+    """Substitute images[j] for variable j in each polynomial of `polys`.
+
+    All polys share one source ring; `images` holds one polynomial per source
+    variable, all in the target ring (affine-linear forms restrict to a linear
+    subspace).  Each polynomial is expanded Horner-style, one variable at a
+    time, so terms sharing an exponent prefix share its products; powers of
+    each image are computed once for all polys.
+    """
+    images = list(images)
+    target = images[0].ring
+    p = target.field.p
+    nv = len(images)
+    const_key = target.codec.pack((0,) * target.nvars)
+    powers = [[target.one(), img] for img in images]
+
+    def power(j, e):
+        cache = powers[j]
+        while len(cache) <= e:
+            cache.append(cache[-1] * images[j])
+        return cache[e]
+
+    def reduce(acc):
+        if p:
+            return {k: r for k, v in acc.items() if (r := v % p)}
+        return {k: v for k, v in acc.items() if v}
+
+    def expand(terms, j):
+        # terms: (exponents, coefficient) pairs over variables j..nv-1
+        if j == nv:
+            return {const_key: sum(c for _, c in terms)}
+        groups = {}
+        for t in terms:
+            groups.setdefault(t[0][j], []).append(t)
+        acc = {}
+        for e, group in groups.items():
+            inner = expand(group, j + 1)
+            if e:
+                inner = (power(j, e) * Polynomial(target, reduce(inner)))._t
+            for k, v in inner.items():
+                acc[k] = acc.get(k, 0) + v
+        return acc
+
+    out = []
+    for f in polys:
+        if f.ring.nvars != nv:
+            raise DomainError(f"{nv} images for a ring with {f.ring.nvars} variables")
+        unpack = f.ring.codec.unpack
+        terms = [(unpack(k), c) for k, c in f._t.items()]
+        out.append(Polynomial(target, reduce(expand(terms, 0)) if terms else {}))
+    return out
+
+
 def directional_derivative(f: Polynomial, direction) -> Polynomial:
     """Sum_j v_j * df/dx_j for a coefficient vector v."""
     out = f.ring.zero()

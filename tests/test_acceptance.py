@@ -207,7 +207,21 @@ def test_criterion_7_backend_agreement():
 
 
 def test_criterion_8_out_of_scope_notes():
-    # The timing table and the smooth-surface-in-P^4 Euler number are not
-    # reproduced (no pinned values exist).  The minors ideal is exercised as
-    # an unpinned stretch case elsewhere (tests/test_acceptance_slow.py).
+    # The timing table and the smooth-surface-in-P^4 Euler number of the
+    # paper are not reproduced (no pinned values exist).
     _ok(8, "timing table and unpinned examples intentionally not reproduced")
+
+
+def test_minors_surface_cubic_scroll():
+    # The 2x2 minors of a generic 2x3 matrix of linear forms cut out the
+    # smooth cubic scroll S(1,2) in P^4, which is F_1 = P^2 blown up at a
+    # point: chi = 3 + 1 = 4.
+    R = _ring(("x0", "x1", "x2", "x3", "x4"))
+    rng = random.Random(42)
+    entries = [[R.random_form(1, rng) for _ in range(3)] for _ in range(2)]
+    minors = [
+        entries[0][i] * entries[1][j] - entries[0][j] * entries[1][i]
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    ]
+    assert euler_characteristic(Ideal(R, minors), rng=rng) == 4
+    _ok("stretch", "minors surface in P^4 (cubic scroll F_1): euler 4")

@@ -111,6 +111,15 @@ class TestMainExitCodes:
         assert main(["euler", "--expr", "vars x,y; gens: x, y, x+y;", "--seed", "1",
                      "--field", str(PRIME)]) == 3
 
+    def test_resource_error_exit_6(self, capsys):
+        # 17 generators: inclusion-exclusion would need 2^17 - 1 hypersurfaces
+        gens = ", ".join(f"{i}*x" for i in range(1, 18))
+        code = main(["euler", "--expr", f"vars x,y,z; gens: {gens};", "--seed", "1",
+                     "--field", str(PRIME), "--json"])
+        assert code == 6
+        err = json.loads(capsys.readouterr().err)
+        assert err["exit_code"] == 6 and err["category"] == "resource"
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["euler", "/nonexistent/file.id"]) == 2
 

@@ -16,6 +16,7 @@ from charclass import (
     poly_gcd,
     squarefree_part,
 )
+from charclass.poly import substitute_linear
 
 from helpers import PRIME, scalar_equal
 
@@ -261,3 +262,29 @@ def test_directional_derivative(P2, rng):
     f = x * x * y
     d = directional_derivative(f, (1, 2, 0))
     assert d == 2 * x * y + 2 * x * x
+
+
+class TestSubstituteLinear:
+    def test_matches_pointwise_evaluation(self, P3, rng):
+        # f(a + B u) at u0 must equal f at the point a + B u0
+        S = Ring(("T", "u1", "u2"), P3.field)
+        p = P3.field.p
+        for _ in range(20):
+            a = [rng.randrange(p) for _ in range(4)]
+            B = [[rng.randrange(p) for _ in range(2)] for _ in range(4)]
+            images = [S.const(a[j]) + S.var(1) * B[j][0] + S.var(2) * B[j][1] for j in range(4)]
+            polys = [P3.random_form(rng.randrange(0, 5), rng), rand_poly(P3, rng), P3.zero()]
+            restricted = substitute_linear(polys, images)
+            u0 = (rng.randrange(p), rng.randrange(p), rng.randrange(p))
+            x0 = tuple((a[j] + B[j][0] * u0[1] + B[j][1] * u0[2]) % p for j in range(4))
+            for f, g in zip(polys, restricted):
+                assert g.ring == S
+                assert g.evaluate(u0) == f.evaluate(x0)
+
+    def test_coordinate_images_are_identity(self, P2, rng):
+        f = rand_poly(P2, rng, deg=4, terms=8)
+        assert substitute_linear([f], P2.gens()) == [f]
+
+    def test_image_count_mismatch(self, P2):
+        with pytest.raises(DomainError):
+            substitute_linear([P2.var(0)], P2.gens()[:2])
