@@ -9,9 +9,19 @@ degree-m elements of the ideal, the L_j random linear forms, and the patch
 a random affine chart equation c.x = 1.  The m^d solutions of the
 total-degree start system [a_i y_i^{deg_i} - b_i, patch] are tracked along
 the gamma-trick straight-line homotopy (Euler predictor, Newton corrector,
-adaptive step halving).  Converged endpoints that do not lie on V(I) and
-have a nonsingular Jacobian are the non-solutions; their count, after
-merging duplicates, is deg(R_d).
+adaptive step halving).
+
+All m^d paths of a level are tracked together as one (paths x nv) array;
+each path keeps its own t and step size, so it takes the same steps it
+would take alone.  A system is compiled into one monomial table: the union
+of the monomials of its rows and of its Jacobian entries, so that one power
+table and one gather-product evaluate F and J at every path at once.
+
+Every path ends in exactly one of four buckets: solution, non-solution,
+singular or diverged.  A level whose buckets do not add up to m^d is an
+error.  Converged endpoints that do not lie on V(I) and have a nonsingular
+Jacobian are the non-solutions; their count, after merging duplicates, is
+deg(R_d).
 
 No information flows between levels (no cascade reuse): each level gets
 fresh random data.
@@ -123,72 +133,77 @@ def _lift(f, nv) -> _NPoly:
     return _NPoly.from_terms(terms, nv)
 
 
-def _dict_mul(a, b, nv):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0j) + ca * cb
-    return out
-
-
 class _Square:
-    """A square complex polynomial system with a precomputed Jacobian."""
+    """A polynomial system and its Jacobian compiled into one monomial table.
+
+    The columns of the table are the union of the monomials of all rows and
+    of all Jacobian entries: `E` is their exponent matrix, `CF` (rows x M)
+    and `CJ` (rows*nv x M) the coefficients of F and of the row-major J.
+    """
 
     def __init__(self, polys):
         self.polys = polys
-        self.nv = polys[0].nv
-        self.jac = [[f.partial(j) for j in range(self.nv)] for f in polys]
+        self.nv = nv = polys[0].nv
+        columns = {}
+        f_terms, j_terms = [], []
+        for i, f in enumerate(polys):
+            for e, c in zip(f.E.tolist(), f.c):
+                f_terms.append((i, columns.setdefault(tuple(e), len(columns)), c))
+            for j in range(nv):
+                d = f.partial(j)
+                for e, c in zip(d.E.tolist(), d.c):
+                    j_terms.append((i * nv + j, columns.setdefault(tuple(e), len(columns)), c))
+        self.E = np.array(list(columns), dtype=np.int64).reshape(-1, nv)
+        self.CF = np.zeros((len(polys), len(columns)), dtype=np.complex128)
+        self.CJ = np.zeros((len(polys) * nv, len(columns)), dtype=np.complex128)
+        for C, terms in ((self.CF, f_terms), (self.CJ, j_terms)):
+            for r, k, c in terms:
+                C[r, k] += c
+        self._var = np.arange(nv)
+        self._dmax = int(self.E.max(initial=0))
 
-    def F(self, x):
-        return np.array([f.eval(x) for f in self.polys])
-
-    def J(self, x):
-        n = self.nv
-        out = np.empty((n, n), dtype=np.complex128)
-        for i, row in enumerate(self.jac):
-            for j, d in enumerate(row):
-                out[i, j] = d.eval(x)
-        return out
+    def eval(self, X, jac=True):
+        """F (p x rows) and J (p x rows x nv, or None) at the rows of X (p x nv)."""
+        P = np.empty((len(X), self.nv, self._dmax + 1), dtype=np.complex128)
+        P[:, :, 0] = 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, self._dmax + 1):
+                P[:, :, k] = P[:, :, k - 1] * X
+            mons = P[:, self._var, self.E].prod(axis=2)
+            F = mons @ self.CF.T
+            J = (mons @ self.CJ.T).reshape(len(X), len(self.polys), self.nv) if jac else None
+        return F, J
 
 
 class StraightLineHomotopy:
     """H(x, t) = (1-t) F(x) + t gamma G(x), with shared t-independent rows.
 
     Rows whose index appears in `fixed` (the chart patch) enter both systems
-    without the gamma factor, so paths stay inside the chart.
+    without the gamma factor, so paths stay inside the chart.  Target and
+    start rows share one monomial table, so H, Hx and Ht come from one
+    evaluation.
     """
 
     def __init__(self, target: _Square, start: _Square, gamma: complex, fixed=()):
         self.target = target
         self.start = start
         self.gamma = gamma
-        self.fixed = frozenset(fixed)
-        self.n = target.nv
+        self._both = _Square(target.polys + start.polys)
+        self._free = np.ones(len(target.polys))
+        self._free[list(fixed)] = 0.0
 
-    def H(self, x, t):
-        f = self.target.F(x)
-        g = self.start.F(x)
-        out = (1 - t) * f + t * self.gamma * g
-        for i in self.fixed:
-            out[i] = f[i]
-        return out
-
-    def Hx(self, x, t):
-        jf = self.target.J(x)
-        jg = self.start.J(x)
-        out = (1 - t) * jf + t * self.gamma * jg
-        for i in self.fixed:
-            out[i] = jf[i]
-        return out
-
-    def Ht(self, x, t):
-        f = self.target.F(x)
-        g = self.start.F(x)
-        out = self.gamma * g - f
-        for i in self.fixed:
-            out[i] = 0
-        return out
+    def eval(self, X, t, jac=True):
+        """H, Hx (or None) and Ht at the rows of X, path k at time t[k]."""
+        rows = len(self._free)
+        FG, JG = self._both.eval(X, jac)
+        F, G = FG[:, :rows], FG[:, rows:]
+        t = t[:, None] * self._free  # fixed rows stay at t = 0
+        a = 1 - t
+        b = t * self.gamma
+        H = a * F + b * G
+        Ht = (self.gamma * G - F) * self._free
+        Hx = a[..., None] * JG[:, :rows] + b[..., None] * JG[:, rows:] if jac else None
+        return H, Hx, Ht
 
 
 def _solve(A, b):
@@ -198,72 +213,93 @@ def _solve(A, b):
         return np.linalg.lstsq(A, b, rcond=None)[0]
 
 
-def _newton(system_F, system_J, x, tol, iters):
-    """Plain Newton iteration; returns (x, converged, last_residual)."""
-    res = float(np.max(np.abs(system_F(x))))
-    for _ in range(iters):
-        if res <= tol:
-            return x, True, res
-        dx = _solve(system_J(x), -system_F(x))
-        x = x + dx
-        res = float(np.max(np.abs(system_F(x))))
-    return x, res <= tol, res
+def _solve_rows(A, b):
+    """Solve A[k] x = b[k] for every k; singular stacks fall back row by row."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.array([_solve(Ak, bk) for Ak, bk in zip(A, b)])
+
+
+def _newton(evaluate, X, tol, iters, scaled):
+    """Newton steps in place on the rows of X that have not yet converged.
+
+    `evaluate(rows, X[rows], jac)` gives F and J there.  A row converges
+    when max|F| <= tol, times max(1, max|x|) if `scaled`.  Returns the
+    converged mask and each row's last max|F|.
+    """
+    res = np.empty(len(X))
+    ok = np.zeros(len(X), dtype=bool)
+    todo = np.arange(len(X))
+    for it in range(iters + 1):
+        F, J = evaluate(todo, X[todo], it < iters)
+        res[todo] = np.abs(F).max(axis=1)
+        bound = tol * np.maximum(1.0, np.abs(X[todo]).max(axis=1)) if scaled else tol
+        conv = res[todo] <= bound
+        ok[todo[conv]] = True
+        todo = todo[~conv]
+        if it == iters or not todo.size:
+            break
+        X[todo] += _solve_rows(J[~conv], -F[~conv])
+    return ok, res
+
+
+def track_paths(starts, homotopy: StraightLineHomotopy, cfg: TrackerConfig) -> list[PathEndpoint]:
+    """Track start solutions from t=1 to t=0 together, one row per path.
+
+    Each path keeps its own t, step size, success streak and halving count:
+    Euler predictor and Newton corrector with step halving on failure and
+    doubling after four successes in a row.  The endpoints are polished by
+    extra Newton steps on the target system.  Step underflow or a norm
+    blowup yields status "diverged"; an endpoint where Newton stalls yields
+    "singular".
+    """
+    X = np.array(starts, dtype=np.complex128)
+    p = len(X)
+    t = np.ones(p)
+    dt = np.full(p, cfg.initial_step)
+    halvings = np.zeros(p, dtype=np.int64)
+    streak = np.zeros(p, dtype=np.int64)
+    lost = np.zeros(p, dtype=bool)
+    while True:
+        idx = np.flatnonzero(~lost & (t > 0))
+        if not idx.size:
+            break
+        tk = t[idx]
+        step = np.minimum(dt[idx], tk)
+        tn = tk - step
+        _, hx, ht = homotopy.eval(X[idx], tk)
+        xn = X[idx] - _solve_rows(hx, -ht) * step[:, None]  # dx/dt = -Hx^{-1} Ht
+        ok, _ = _newton(
+            lambda k, Y, jac: homotopy.eval(Y, tn[k], jac)[:2],
+            xn, cfg.corrector_tol, cfg.newton_iters, scaled=True,
+        )
+        acc, rej = idx[ok], idx[~ok]
+        X[acc], t[acc] = xn[ok], tn[ok]
+        streak[acc] += 1
+        grow = acc[streak[acc] >= 4]
+        dt[grow] = np.minimum(dt[grow] * 2, cfg.max_step)
+        streak[grow] = 0
+        streak[rej] = 0
+        dt[rej] /= 2
+        halvings[rej] += 1
+        lost[rej[(dt[rej] < cfg.min_step) | (halvings[rej] > cfg.max_step_halvings)]] = True
+        lost[idx[np.abs(X[idx]).max(axis=1) > cfg.blowup]] = True
+    res = np.full(p, np.inf)
+    fin = np.flatnonzero(~lost)
+    Y = X[fin]
+    _, res[fin] = _newton(
+        lambda k, Z, jac: homotopy.target.eval(Z, jac),
+        Y, cfg.corrector_tol, cfg.endpoint_newton, scaled=False,
+    )
+    X[fin] = Y
+    status = np.select([res <= cfg.corrector_tol, res < 1e-4], ["converged", "singular"], "diverged")
+    return [PathEndpoint(x.copy(), str(s)) for x, s in zip(X, status)]
 
 
 def track_path(start, homotopy: StraightLineHomotopy, cfg: TrackerConfig) -> PathEndpoint:
-    """Track one start solution from t=1 to t=0.
-
-    Euler predictor and Newton corrector with adaptive step halving and
-    doubling; the endpoint is polished by extra Newton steps on the target
-    system.  Step underflow or a norm blowup yields status "diverged"; an
-    endpoint where Newton stalls yields "singular".
-    """
-    x = np.asarray(start, dtype=np.complex128)
-    t = 1.0
-    dt = cfg.initial_step
-    halvings = 0
-    streak = 0
-    while t > 0:
-        step = min(dt, t)
-        tn = t - step
-        v = _solve(homotopy.Hx(x, t), -homotopy.Ht(x, t))
-        xp = x - v * step  # dx/dt = -Hx^{-1} Ht, moving t by -step
-        ok = True
-        xn = xp
-        for _ in range(cfg.newton_iters):
-            h = homotopy.H(xn, tn)
-            res = float(np.max(np.abs(h)))
-            scale = max(1.0, float(np.max(np.abs(xn))))
-            if res <= cfg.corrector_tol * scale:
-                break
-            xn = xn + _solve(homotopy.Hx(xn, tn), -h)
-        else:
-            h = homotopy.H(xn, tn)
-            res = float(np.max(np.abs(h)))
-            scale = max(1.0, float(np.max(np.abs(xn))))
-            ok = res <= cfg.corrector_tol * scale
-        if ok:
-            x, t = xn, tn
-            streak += 1
-            if streak >= 4:
-                dt = min(dt * 2, cfg.max_step)
-                streak = 0
-        else:
-            streak = 0
-            dt /= 2
-            halvings += 1
-            if dt < cfg.min_step or halvings > cfg.max_step_halvings:
-                return PathEndpoint(x, "diverged")
-        if float(np.max(np.abs(x))) > cfg.blowup:
-            return PathEndpoint(x, "diverged")
-    x, converged, res = _newton(
-        homotopy.target.F, homotopy.target.J, x, cfg.corrector_tol, cfg.endpoint_newton
-    )
-    if converged:
-        return PathEndpoint(x, "converged")
-    if res < 1e-4:
-        return PathEndpoint(x, "singular")
-    return PathEndpoint(x, "diverged")
+    """Track one start solution from t=1 to t=0 (a batch of one path)."""
+    return track_paths([start], homotopy, cfg)[0]
 
 
 def classify_endpoint(point, gens: list, square: _Square, cfg: TrackerConfig):
@@ -282,7 +318,7 @@ def classify_endpoint(point, gens: list, square: _Square, cfg: TrackerConfig):
         raise _Ambiguous(f"on-variety residual {residual:.3e} near tolerance {tol:.1e}")
     if residual < tol:
         return "solution", residual
-    cond = np.linalg.cond(square.J(x))
+    cond = np.linalg.cond(square.eval(x[None])[1][0])
     if not np.isfinite(cond) or cond > cfg.singular_cond:
         return "singular", residual
     return "non-solution", residual
@@ -295,7 +331,8 @@ def residual_degrees_numeric(
 
     Level ranges and m follow the symbolic backend; the counts come from
     tracking the m^d total-degree paths of each sliced system.  Levels are
-    rerun with fresh randomness on ambiguity, and a persistent failure is a
+    rerun with fresh randomness on ambiguity or when a level fails to
+    account for every path, and a persistent failure is a
     NumericBackendError.
     """
     cfg = cfg or TrackerConfig()
@@ -311,10 +348,7 @@ def residual_degrees_numeric(
         m = mmax
     elif m < mmax:
         raise DomainError(f"degree bound {m} below maximum generator degree {mmax}")
-    nv = n + 1
-    gens = [_lift(g, nv) for g in I.gens]
-    gen_dicts = [{e: complex(c) for e, c in g.lift_terms()} for g in I.gens]
-    gen_degs = [g.total_degree() for g in I.gens]
+    gens = [_lift(g, n + 1) for g in I.gens]
     degrees = {}
     for d in range(n - k, n + 1):
         if d == 0:
@@ -323,7 +357,7 @@ def residual_degrees_numeric(
         err = None
         for attempt in range(cfg.level_retries):
             try:
-                degrees[d] = _count_level(gen_dicts, gen_degs, gens, n, d, m, rng, cfg)
+                degrees[d] = _count_level(I.ring, gens, d, m, rng, cfg)
                 break
             except (_Ambiguous, NumericBackendError) as exc:
                 err = exc
@@ -339,28 +373,16 @@ def _gauss(rng):
     return complex(rng.gauss(0, 1), rng.gauss(0, 1)) / 1.4142135623730951
 
 
-def _random_combination(gen_dicts, gen_degs, m, nv, rng):
+def _random_combination(ring, gens, m, rng):
     """A random complex degree-m element of the ideal: sum lambda_i h_i."""
     out = {}
-    for gd, deg in zip(gen_dicts, gen_degs):
-        lam = {
-            e: _gauss(rng)
-            for e in _exponents_of_degree(m - deg, nv)
-        }
-        for e, c in _dict_mul(lam, gd, nv).items():
+    for g in gens:
+        lam = np.array(list(ring.monomials_of_degree(m - g.degree())), dtype=np.int64)
+        coef = np.array([_gauss(rng) for _ in range(len(lam))])
+        E = (lam[:, None, :] + g.E[None, :, :]).reshape(-1, ring.nvars)
+        for e, c in zip(map(tuple, E.tolist()), np.outer(coef, g.c).ravel().tolist()):
             out[e] = out.get(e, 0j) + c
     return {e: c for e, c in out.items() if abs(c) > 1e-300}
-
-
-def _exponents_of_degree(d, nv):
-    for bars in itertools.combinations(range(d + nv - 1), nv - 1):
-        exps = []
-        prev = -1
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(d + nv - 2 - prev)
-        yield tuple(exps)
 
 
 def _linear_form(nv, rng):
@@ -372,12 +394,14 @@ def _normalize_row(row):
     return {e: c / scale for e, c in row.items()} if scale else row
 
 
-def _count_level(gen_dicts, gen_degs, gens, n, d, m, rng, cfg) -> int:
-    nv = n + 1
+def _level_system(ring, gens, d, m, rng):
+    """The level-d target system, its homotopy and the m^d start points."""
+    nv = ring.nvars
+    n = nv - 1
     # target rows: d ideal elements, n-d linear slices, affine patch;
     # rows are normalized to unit coefficient norm so the absolute
     # tolerances stay meaningful for large integer generators
-    rows = [_random_combination(gen_dicts, gen_degs, m, nv, rng) for _ in range(d)]
+    rows = [_random_combination(ring, gens, m, rng) for _ in range(d)]
     rows += [_linear_form(nv, rng) for _ in range(n - d)]
     rows = [_normalize_row(r) for r in rows]
     patch = _linear_form(nv, rng)
@@ -407,27 +431,34 @@ def _count_level(gen_dicts, gen_degs, gens, n, d, m, rng, cfg) -> int:
     c_patch = np.array(
         [patch.get(tuple(1 if j == i else 0 for j in range(nv)), 0j) for i in range(nv)]
     )
-    starts = []
-    for combo in itertools.product(*roots_per_row):
-        x = np.empty(nv, dtype=np.complex128)
-        x[1:] = combo
-        x[0] = (1.0 - np.dot(c_patch[1:], x[1:])) / c_patch[0]
-        starts.append(x)
-    assert len(starts) == m ** d
+    starts = np.empty((m**d, nv), dtype=np.complex128)
+    starts[:, 1:] = list(itertools.product(*roots_per_row))
+    starts[:, 0] = (1.0 - starts[:, 1:] @ c_patch[1:]) / c_patch[0]
+    return target, hom, starts
 
+
+def _count_level(ring, gens, d, m, rng, cfg) -> int:
+    target, hom, starts = _level_system(ring, gens, d, m, rng)
+    res0 = np.abs(hom.start.eval(starts, jac=False)[0]).max(axis=1)
+    scale = np.maximum(1.0, np.abs(starts).max(axis=1))
+    if (res0 > cfg.corrector_tol * scale).any():
+        raise NumericBackendError(f"start point residual {res0.max():.2e} too large")
+
+    histogram = dict.fromkeys(("solution", "non-solution", "singular", "diverged"), 0)
     non_solutions = []
-    for x0 in starts:
-        res0 = float(np.max(np.abs(start.F(x0))))
-        if res0 > cfg.corrector_tol * max(1.0, float(np.max(np.abs(x0)))):
-            raise NumericBackendError(f"start point residual {res0:.2e} too large")
-        ep = track_path(x0, hom, cfg)
-        if ep.status != "converged":
-            continue
-        cls, residual = classify_endpoint(ep.point, gens, target, cfg)
-        ep.classification = cls if cls in ("solution", "non-solution") else None
-        ep.residual = residual
-        if cls == "non-solution":
-            non_solutions.append(ep.point / np.linalg.norm(ep.point))
+    for ep in track_paths(starts, hom, cfg):
+        bucket = ep.status
+        if ep.status == "converged":
+            bucket, ep.residual = classify_endpoint(ep.point, gens, target, cfg)
+            ep.classification = bucket if bucket != "singular" else None
+            if bucket == "non-solution":
+                non_solutions.append(ep.point / np.linalg.norm(ep.point))
+        histogram[bucket] += 1
+    log.debug("level %d path histogram %s", d, histogram)
+    if sum(histogram.values()) != m**d:
+        raise NumericBackendError(
+            f"level {d} accounted for {sum(histogram.values())} of {m**d} paths"
+        )
     return _count_clusters(non_solutions, cfg.cluster_tol)
 
 

@@ -1,9 +1,13 @@
 """Path tracking, endpoint classification, and numeric residual counts."""
 
+import logging
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charclass import (
     Ideal,
@@ -12,11 +16,23 @@ from charclass import (
     jacobian_ideal,
     residual_degrees_numeric,
     residual_degrees_symbolic,
+    parse_problem,
     segre_degrees,
     track_path,
 )
 from charclass.errors import DomainError
-from charclass.homotopy import _NPoly, _Square, classify_endpoint
+from charclass.homotopy import (
+    _NPoly,
+    _Square,
+    _level_system,
+    _lift,
+    classify_endpoint,
+    track_paths,
+)
+
+from helpers import PRIME
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 
 
 def _univariate_homotopy(target_terms, start_terms, gamma):
@@ -49,6 +65,76 @@ class TestTrackPath:
         hom = _univariate_homotopy({(0,): 1.0}, {(1,): 1.0, (0,): -1.0}, complex(0.6, 0.8))
         ep = track_path(np.array([1.0 + 0j]), hom, cfg)
         assert ep.status == "diverged"
+
+
+class TestBatching:
+    def test_batch_matches_single_paths(self, twisted_cubic):
+        # level 2 of the twisted cubic: four paths with isolated endpoints
+        gens = [_lift(g, 4) for g in twisted_cubic.gens]
+        _, hom, starts = _level_system(twisted_cubic.ring, gens, 2, 2, random.Random(3))
+        cfg = TrackerConfig()
+        batch = track_paths(starts, hom, cfg)
+        assert len(batch) == len(starts) == 4
+        for x0, ep in zip(starts, batch):
+            alone = track_path(x0, hom, cfg)
+            assert ep.status == alone.status
+            assert np.max(np.abs(ep.point - alone.point)) < 1e-8
+
+    def test_mixed_statuses_in_one_batch(self):
+        # (1-t)(x-1) + t gamma (x^2-4): of the two start roots one path
+        # reaches x = 1 and the other escapes; each keeps its own outcome
+        hom = _univariate_homotopy(
+            {(1,): 1.0, (0,): -1.0}, {(2,): 1.0, (0,): -4.0}, complex(0.6, 0.8)
+        )
+        cfg = TrackerConfig()
+        starts = np.array([[2], [-2]], dtype=complex)
+        batch = track_paths(starts, hom, cfg)
+        assert sorted(ep.status for ep in batch) == ["converged", "diverged"]
+        for x0, ep in zip(starts, batch):
+            assert ep.status == track_path(x0, hom, cfg).status
+            if ep.status == "converged":
+                assert abs(ep.point[0] - 1) < 1e-8
+
+
+_COEF = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _systems(draw):
+    nv = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * nv)
+    polys = [draw(st.dictionaries(exps, _COEF, max_size=5)) for _ in range(nv)]
+    points = draw(st.lists(st.tuples(*[_COEF] * nv), min_size=1, max_size=4))
+    return polys, np.array(points, dtype=complex).reshape(-1, nv)
+
+
+def _term_by_term(polys, x):
+    return np.array([
+        sum(c * np.prod([xi**ei for xi, ei in zip(x, e)]) for e, c in p.items())
+        for p in polys
+    ], dtype=complex)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_systems())
+def test_table_matches_term_by_term_and_central_differences(system):
+    polys, X = system
+    nv = X.shape[1]
+    F, J = _Square([_NPoly.from_terms(p, nv) for p in polys]).eval(X)
+    h = 1e-5
+    for k, x in enumerate(X):
+        fx = _term_by_term(polys, x)
+        # bounds every term and its derivatives up to a degree factor
+        scale = max(1.0, sum(
+            abs(c) * np.prod(np.maximum(1.0, np.abs(x)) ** np.array(e))
+            for p in polys for e, c in p.items()
+        ))
+        assert np.allclose(F[k], fx, rtol=0, atol=1e-12 * scale)
+        for j in range(nv):
+            dx = np.zeros(nv, dtype=complex)
+            dx[j] = h
+            fd = (_term_by_term(polys, x + dx) - _term_by_term(polys, x - dx)) / (2 * h)
+            assert np.allclose(J[k, :, j], fd, rtol=0, atol=1e-5 * scale)
 
 
 class TestClassification:
@@ -105,26 +191,39 @@ class TestNumericResiduals:
         sd = segre_degrees(twisted_cubic, backend="numeric", rng=random.Random(2))
         assert sd.values == (3, -10)
 
+    def test_segre_p1xp2_matches_symbolic(self):
+        I = parse_problem((PROBLEMS / "segre_p1xp2.id").read_text()).ideal(PRIME)
+        num = residual_degrees_numeric(I, random.Random(6))
+        sym = residual_degrees_symbolic(I, random.Random(6))
+        assert num.degrees == sym.degrees == {2: 1, 3: 0, 4: 0, 5: 0}
+
     def test_empty_scheme_rejected(self, P2):
         with pytest.raises(DomainError):
             residual_degrees_numeric(Ideal(P2, [P2.one()]), random.Random(0))
 
 
 class TestPathAccounting:
-    def test_total_paths_equal_bezout(self, twisted_cubic, monkeypatch):
-        # every level tracks exactly m^d start points
-        import charclass.homotopy as hm
-
-        counts = []
-        original = hm.track_path
-
-        def counting(start, hom, cfg):
-            counts.append(1)
-            return original(start, hom, cfg)
-
-        monkeypatch.setattr(hm, "track_path", counting)
+    def test_total_paths_equal_bezout(self, twisted_cubic, caplog):
+        # every level puts each of its m^d paths in exactly one bucket
+        caplog.set_level(logging.DEBUG, logger="charclass.homotopy")
         residual_degrees_numeric(twisted_cubic, random.Random(0))
-        assert len(counts) == 2**2 + 2**3
+        histograms = {
+            r.args[0]: r.args[1] for r in caplog.records if "path histogram" in r.msg
+        }
+        assert set(histograms) == {2, 3}
+        assert {d: sum(h.values()) for d, h in histograms.items()} == {2: 2**2, 3: 2**3}
+        assert set(histograms[2]) == {"solution", "non-solution", "singular", "diverged"}
+
+    def test_lost_path_raises(self, twisted_cubic, monkeypatch):
+        # a tracker that drops a path fails the level instead of lowering
+        # the count
+        import charclass.homotopy as hm
+        from charclass.errors import NumericBackendError
+
+        original = hm.track_paths
+        monkeypatch.setattr(hm, "track_paths", lambda s, h, c: original(s, h, c)[1:])
+        with pytest.raises(NumericBackendError, match="accounted for 3 of 4 paths"):
+            residual_degrees_numeric(twisted_cubic, random.Random(0))
 
     def test_persistent_ambiguity_raises(self, twisted_cubic, monkeypatch):
         import charclass.homotopy as hm
