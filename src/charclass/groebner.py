@@ -4,26 +4,81 @@ Normal-strategy pair selection (minimal lcm in the ring order, a heap pop on
 packed keys), the Gebauer-Moeller pair criteria, full normal forms via a
 lazy max-heap over the working tail, and a final interreduction to the
 unique reduced Groebner basis.
+
+Over GF(p) every reducer is monic.  Over Q the engine is fraction-free
+(Becker-Weispfenning, *Groebner Bases*, ch. 10): each reducer is a primitive
+integer polynomial with a positive lead coefficient, reduction scales the
+working polynomial instead of dividing, and Fractions appear only at the
+boundary: `buchberger` and `interreduce` return the monic reduced basis and
+`normal_form` the exact remainder, all with Fraction coefficients.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 
 from .errors import DomainError
 from .poly import Polynomial, Ring
 
 
-def _nf_dict(fdict, reducers, ring, skip=None):
-    """Full normal form of {key: coeff} against monic reducers.
+def _cleared(terms):
+    """(den, ints) with den the lcm of the denominators and ints = den * terms."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
 
-    reducers: list of (lm_key, lm_exp_part, lm_tag, tail_items) with each
-    reducer monic and tail_items its non-lead (key, coeff) pairs.
+
+def _integral(terms) -> dict:
+    """Primitive integer multiple of a nonzero {key: rational} dict, lead > 0.
+
+    A dict of ints (the engine's own form) is returned as is when primitive.
+    The positive lead keeps a unit lead coefficient at 1, which reduces
+    without scaling.
+    """
+    lk = max(terms)
+    if type(terms[lk]) is not int:
+        terms = _cleared(terms)[1]
+    g = math.gcd(*terms.values())
+    if terms[lk] < 0:
+        g = -g
+    if g == 1:
+        return terms
+    return {k: c // g for k, c in terms.items()}
+
+
+def _normalized(f: Polynomial) -> Polynomial:
+    """f scaled to the engine's form: monic over GF(p), primitive over Q.
+
+    Over Q the result holds int coefficients; it stays inside this module.
+    """
+    if f.ring.field.p:
+        return f.monic()
+    return Polynomial(f.ring, _integral(f._t))
+
+
+def _monic_rational(ring: Ring, terms: dict) -> Polynomial:
+    """The monic Fraction polynomial of a nonzero integer dict over Q."""
+    lc = terms[max(terms)]
+    return Polynomial(ring, {k: Fraction(c, lc) for k, c in terms.items()})
+
+
+def _nf_dict(fdict, reducers, ring, skip=None):
+    """Full normal form of {key: coeff} against `_make_reducer` tuples.
+
+    reducers: list of (lm_key, lm_exp_part, lm_tag, lc, tail_items), tail_items
+    being the non-lead (key, coeff) pairs.  Over GF(p) each reducer is monic
+    (lc == 1).  Over Q fdict and the reducers hold ints: a term c*x^k hit by
+    a reducer with lead coefficient a scales the working dict by
+    s = a / gcd(a, c) and subtracts (c / gcd(a, c)) * x^k/lm * tail.
+
+    Returns (rem, mult) with mult * f = (combination of reducers) + rem, so
+    rem / mult is the remainder of reduction by the monic reducers; mult is
+    1 over GF(p).  Each remainder term is stored with the running multiplier
+    and rescaled once at the end.
     """
     codec = ring.codec
     p = ring.field.p
-    one = codec.one
     expmask = codec.expmask
     guard = codec.guard
     elim = codec.nelim
@@ -33,6 +88,7 @@ def _nf_dict(fdict, reducers, ring, skip=None):
     heap = [-k for k in work]
     heapq.heapify(heap)
     rem = {}
+    mult = 1
     while heap:
         k = -heapq.heappop(heap)
         c = work.pop(k, None)
@@ -49,11 +105,11 @@ def _nf_dict(fdict, reducers, ring, skip=None):
                 hit = red
                 break
         if hit is None:
-            rem[k] = c
+            rem[k] = c if p else (c, mult)
             continue
         shift = k - hit[0]  # equals (quotient key) - ONE, the term-shift offset
         if p:
-            for kk, cc in hit[3]:
+            for kk, cc in hit[4]:
                 nk = kk + shift
                 v = work.get(nk)
                 if v is None:
@@ -68,66 +124,102 @@ def _nf_dict(fdict, reducers, ring, skip=None):
                     else:
                         del work[nk]
         else:
-            for kk, cc in hit[3]:
+            a = hit[3]
+            if a != 1:
+                g = math.gcd(a, c)
+                if g != a:
+                    s = a // g
+                    mult *= s
+                    work = {kk: v * s for kk, v in work.items()}
+                c //= g
+            for kk, cc in hit[4]:
                 nk = kk + shift
                 v = work.get(nk)
                 if v is None:
-                    v = -c * cc
-                    if v:
-                        work[nk] = v
-                        heapq.heappush(heap, -nk)
+                    work[nk] = -c * cc
+                    heapq.heappush(heap, -nk)
                 else:
                     v = v - c * cc
                     if v:
                         work[nk] = v
                     else:
                         del work[nk]
-    return rem
+    if not p:
+        rem = {k: c if m == mult else c * (mult // m) for k, (c, m) in rem.items()}
+    return rem, mult
 
 
 def _make_reducer(g: Polynomial):
+    """Reducer tuple of a polynomial already in `_normalized` form."""
     codec = g.ring.codec
     lm = g.lm()
     tail = [(k, c) for k, c in g._t.items() if k != lm]
-    return (lm, (lm & codec.expmask) | codec.guard, codec.tag(lm), tail)
+    return (lm, (lm & codec.expmask) | codec.guard, codec.tag(lm), g._t[lm], tail)
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
-    """Remainder of f under full reduction by the (nonzero) basis polynomials."""
+    """Remainder of f under full reduction by the (nonzero) basis polynomials.
+
+    The remainder is the one of reduction by the monic basis elements; over Q
+    it is exact, not scaled.
+    """
     basis = [g for g in basis if g]
     if not basis or not f:
         return f
     ring = f.ring
-    reducers = [_make_reducer(g.monic()) for g in basis]
-    return Polynomial(ring, _nf_dict(f._t, reducers, ring))
+    reducers = [_make_reducer(_normalized(g)) for g in basis]
+    if ring.field.p:
+        return Polynomial(ring, _nf_dict(f._t, reducers, ring)[0])
+    den, ints = _cleared(f._t)
+    rem, mult = _nf_dict(ints, reducers, ring)
+    den *= mult
+    return Polynomial(ring, {k: Fraction(c, den) for k, c in rem.items()})
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial of two nonzero polynomials."""
+    """S-polynomial of two nonzero polynomials.
+
+    Over GF(p) it is the combination of the monic f and g; over Q it is the
+    fraction-free one of their primitive integer multiples, a nonzero
+    rational multiple of the monic S-polynomial.  Its coefficients are
+    Fractions, or ints when f holds ints (the engine's internal form).
+    """
     ring = f.ring
     codec = ring.codec
     lf, lg = f.lm(), g.lm()
     tau = codec.lcm(lf, lg)
-    mf = codec.quo(tau, lf)
-    mg = codec.quo(tau, lg)
-    fm = f.monic()
-    gm = g.monic()
-    one = codec.one
+    mf = codec.quo(tau, lf) - codec.one
+    mg = codec.quo(tau, lg) - codec.one
     p = ring.field.p
-    out = {}
-    for k, c in fm._t.items():
-        out[k + mf - one] = c
-    for k, c in gm._t.items():
-        nk = k + mg - one
-        v = out.get(nk)
-        if v is None:
-            out[nk] = -c % p if p else -c
-        else:
-            v = (v - c) % p if p else v - c
-            if v:
-                out[nk] = v
+    if p:
+        out = {k + mf: c for k, c in f.monic()._t.items()}
+        for k, c in g.monic()._t.items():
+            nk = k + mg
+            v = out.get(nk)
+            if v is None:
+                out[nk] = -c % p
             else:
-                del out[nk]
+                v = (v - c) % p
+                if v:
+                    out[nk] = v
+                else:
+                    del out[nk]
+        return Polynomial(ring, out)
+    fi = _integral(f._t)
+    gi = _integral(g._t)
+    d = math.gcd(fi[lf], gi[lg])
+    sf = gi[lg] // d
+    sg = fi[lf] // d
+    out = {k + mf: sf * c for k, c in fi.items()}
+    for k, c in gi.items():
+        nk = k + mg
+        v = out.get(nk, 0) - sg * c
+        if v:
+            out[nk] = v
+        else:
+            del out[nk]
+    if type(f.lc()) is not int:
+        out = {k: Fraction(c) for k, c in out.items()}
     return Polynomial(ring, out)
 
 
@@ -144,8 +236,9 @@ def buchberger(polys) -> list:
     codec = ring.codec
     lcm = codec.lcm
     one = codec.one
+    p = ring.field.p
 
-    basis = []      # Polynomial, append-only
+    basis = []      # Polynomial in `_normalized` form, append-only
     red = []        # parallel reducer tuples
     dead = []       # parallel flags; dead entries make no pairs / reduce nothing
     lms = []        # parallel packed lead monomials
@@ -189,28 +282,30 @@ def buchberger(polys) -> list:
         dead.append(False)
         lms.append(lmh)
 
+    def reduce(f: Polynomial):
+        """Add the normalized remainder of f, when nonzero, to the basis."""
+        terms = f._t if p else _integral(f._t)
+        rem = _nf_dict(terms, red, ring, skip=dead)[0] if basis else terms
+        if rem:
+            update(_normalized(Polynomial(ring, rem)))
+
     for f in sorted(polys, key=lambda g: g.lm()):
-        r = Polynomial(ring, _nf_dict(f._t, red, ring, skip=dead)) if basis else f
-        if r:
-            update(r.monic())
+        reduce(f)
 
     while pairheap:
         tau, i, j = heapq.heappop(pairheap)
         if lcms.pop((i, j), None) is None:
             continue
         s = s_polynomial(basis[i], basis[j])
-        if not s:
-            continue
-        r = Polynomial(ring, _nf_dict(s._t, red, ring, skip=dead))
-        if r:
-            update(r.monic())
+        if s:
+            reduce(s)
 
     return interreduce([g for g, d in zip(basis, dead) if not d])
 
 
 def interreduce(polys) -> list:
     """Turn a Groebner generating set into the reduced Groebner basis."""
-    polys = [f.monic() for f in polys if f]
+    polys = [_normalized(f) for f in polys if f]
     # minimalize: drop elements whose lead monomial another one divides
     polys.sort(key=lambda g: g.lm())
     minimal = []
@@ -221,11 +316,17 @@ def interreduce(polys) -> list:
     if not minimal:
         return []
     ring = minimal[0].ring
+    reducers = [_make_reducer(g) for g in minimal]
+    skip = [False] * len(minimal)
     out = []
     for idx, g in enumerate(minimal):
-        others = [_make_reducer(h) for k, h in enumerate(minimal) if k != idx]
-        r = Polynomial(ring, _nf_dict(g._t, others, ring))
-        out.append(r.monic())
+        skip[idx] = True
+        rem = _nf_dict(g._t, reducers, ring, skip)[0]
+        skip[idx] = False
+        if ring.field.p:
+            out.append(Polynomial(ring, rem).monic())
+        else:
+            out.append(_monic_rational(ring, rem))
     out.sort(key=lambda g: g.lm())
     return out
 

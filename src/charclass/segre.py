@@ -20,7 +20,8 @@ The symbolic backend counts deg R_d in one of two ways, chosen by the field:
     (arXiv:1109.5895);
   * over QQ (saturation route): deg R_d is the degree of the saturation
     (f_1..f_d : I^infinity), whose codimension must be exactly d.  Random
-    rational slices grow coefficients, which makes slicing slower over QQ.
+    rational slices grow coefficients, which keeps slicing slower than
+    saturation over QQ, also with the fraction-free integer Groebner engine.
 
 A level whose slice has positive dimension, or whose saturation has the
 wrong codimension, is resampled.  The numeric backend (homotopy module)

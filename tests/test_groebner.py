@@ -1,6 +1,10 @@
 """Buchberger engine: bases, normal forms, division."""
 
+import random
+from fractions import Fraction
+
 import pytest
+import sympy
 
 from charclass import (
     DomainError,
@@ -12,6 +16,7 @@ from charclass import (
     normal_form,
     s_polynomial,
 )
+from charclass.ideals import Ideal, intersect
 
 from helpers import PRIME
 
@@ -85,3 +90,93 @@ def test_exact_divide_rationals():
 def test_empty_and_zero_inputs(P2):
     assert buchberger([]) == []
     assert buchberger([P2.zero()]) == []
+
+
+# -- QQ contracts of the fraction-free engine -----------------------------------
+
+
+def test_normal_form_rationals_is_exact_remainder():
+    # reducers are neither monic nor integral; by hand, with x > y:
+    # x^2*y + y^3 + 1/5  ->  y^3 + y^2/2 + 1/5     (x^2*y - y*(x^2 - y/2))
+    #                    ->  -2/3*x*y + y^2/2 + 1/5 (y^3 - y*(y^2 + 2/3*x))
+    #                    ->  -2/3*x*y - 1/3*x + 1/5 (y^2/2 - (y^2 + 2/3*x)/2)
+    ring = Ring(("x", "y"), FieldSpec(0))
+    x, y = ring.gens()
+    g1 = Fraction(4, 3) * x * x - Fraction(2, 3) * y
+    g2 = Fraction(3, 2) * y * y + x
+    f = x * x * y + y**3 + Fraction(1, 5)
+    r = normal_form(f, [g1, g2])
+    assert r == Fraction(-2, 3) * x * y - Fraction(1, 3) * x + Fraction(1, 5)
+    assert all(isinstance(c, Fraction) for _, c in r.terms())
+    # the remainder does not depend on how the reducers are scaled
+    assert normal_form(f, [6 * g1, Fraction(-1, 7) * g2]) == r
+
+
+def test_intersect_rationals_in_tag_ring():
+    ring = Ring(("x", "y", "z"), FieldSpec(0))
+    x, y, z = ring.gens()
+    # the points [0:0:1] and [1:1:0] of P^2, from fractional generators
+    J = Ideal(ring, [Fraction(1, 2) * x, Fraction(2, 3) * y])
+    K = Ideal(ring, [3 * x - 3 * y, Fraction(1, 4) * z])
+    assert intersect(J, K).groebner() == [x - y, y * z]
+    # coprime principal ideals meet in their product, made monic
+    J = Ideal(ring, [3 * x - Fraction(1, 2) * y])
+    K = Ideal(ring, [x - 2 * y])
+    assert intersect(J, K).groebner() == [
+        x * x - Fraction(13, 6) * x * y + Fraction(1, 3) * y * y
+    ]
+
+
+# -- sympy as an independent oracle -----------------------------------------------
+
+
+def _random_ideal(ring, rng):
+    """2..nvars inhomogeneous generators of degree <= 3, 2-4 terms each."""
+    rational = ring.field.is_rationals
+    gens = []
+    for _ in range(rng.randrange(2, ring.nvars + 1)):
+        terms = {}
+        deg = rng.randrange(1, 4)
+        for _ in range(rng.randrange(2, 5)):
+            exps = [0] * ring.nvars
+            for _ in range(rng.randrange(deg + 1)):
+                exps[rng.randrange(ring.nvars)] += 1
+            c = rng.randrange(-9, 10)
+            terms[tuple(exps)] = Fraction(c, rng.randrange(1, 7)) if rational else c
+        gens.append(ring.from_exp_dict(terms))
+    return [g for g in gens if g]
+
+
+def _sympy_basis(gens, ring):
+    """Reduced grevlex basis from sympy, as monic polynomials of `ring`."""
+    symbols = sympy.symbols(ring.names)
+    exprs = [
+        sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in g.terms()}, *symbols
+        ).as_expr()
+        for g in gens
+    ]
+    options = {"modulus": ring.field.p} if ring.field.p else {}
+    basis = sympy.groebner(exprs, *symbols, order="grevlex", **options)
+    out = []
+    for g in basis.polys:
+        terms = {}
+        for e, c in g.terms():
+            c = sympy.Rational(c)
+            terms[e] = Fraction(int(c.p), int(c.q))
+        out.append(ring.from_exp_dict(terms).monic())
+    return sorted(out, key=lambda g: g.lm())
+
+
+@pytest.mark.parametrize("p, cases", [(0, 40), (PRIME, 30)])
+def test_buchberger_matches_sympy(p, cases):
+    rng = random.Random(4177 + p % 1000)
+    proper = 0
+    for case in range(cases):
+        nvars = 2 + case % 3
+        ring = Ring(tuple(f"x{i}" for i in range(nvars)), FieldSpec(p))
+        gens = _random_ideal(ring, rng)
+        gb = buchberger(gens)
+        assert gb == _sympy_basis(gens, ring), (case, gens)
+        proper += not gb[0].is_constant()
+    assert proper >= cases // 2  # most cases are not the unit ideal
