@@ -3,9 +3,14 @@
 Normal-strategy pair selection (minimal lcm in the ring order, a heap pop on
 packed keys), the Gebauer-Moeller pair criteria, full normal forms via a
 lazy max-heap over the working tail, and a final interreduction to the
-unique reduced Groebner basis.
+unique reduced Groebner basis.  `buchberger` reduces against a list of its
+live reducers in basis order, rebuilt when an element retires, so retired
+elements are never scanned.
 
-Over GF(p) every reducer is monic.  Over Q the engine is fraction-free
+Over GF(p) every reducer is monic and stores its tail negated mod p, and
+reduction mod p is lazy: coefficients of the working polynomial grow as
+plain ints and are reduced once, when their term leaves the heap.  Over Q
+the engine is fraction-free
 (Becker-Weispfenning, *Groebner Bases*, ch. 10): each reducer is a primitive
 integer polynomial with a positive lead coefficient, reduction scales the
 working polynomial instead of dividing, and Fractions appear only at the
@@ -63,26 +68,35 @@ def _monic_rational(ring: Ring, terms: dict) -> Polynomial:
     return Polynomial(ring, {k: Fraction(c, lc) for k, c in terms.items()})
 
 
-def _nf_dict(fdict, reducers, ring, skip=None):
+def _nf_dict(fdict, reducers, ring):
     """Full normal form of {key: coeff} against `_make_reducer` tuples.
 
-    reducers: list of (lm_key, lm_exp_part, lm_tag, lc, tail_items), tail_items
-    being the non-lead (key, coeff) pairs.  Over GF(p) each reducer is monic
-    (lc == 1).  Over Q fdict and the reducers hold ints: a term c*x^k hit by
-    a reducer with lead coefficient a scales the working dict by
-    s = a / gcd(a, c) and subtracts (c / gcd(a, c)) * x^k/lm * tail.
+    reducers: the live reducers in basis order, each a tuple (lm_key,
+    lm_exp_part, lm_tag, lc, tail_items), tail_items being the non-lead
+    (key, coeff) pairs.  A term is reduced by the first reducer whose lead
+    monomial divides it.
+
+    Over GF(p) each reducer is monic (lc == 1) and stores its tail negated
+    mod p, and reduction mod p is lazy: a hit adds c * tail to the working
+    dict with no `% p` and no zero test, and a coefficient is reduced once,
+    when its term is popped from the heap; a term that is then 0 is dropped.
+    Over Q fdict and the reducers hold ints: a term c*x^k hit by a reducer
+    with lead coefficient a scales the working dict by s = a / gcd(a, c) and
+    subtracts (c / gcd(a, c)) * x^k/lm * tail.
 
     Returns (rem, mult) with mult * f = (combination of reducers) + rem, so
     rem / mult is the remainder of reduction by the monic reducers; mult is
-    1 over GF(p).  Each remainder term is stored with the running multiplier
-    and rescaled once at the end.
+    1 over GF(p), where every remainder coefficient lies in [1, p).  Over Q
+    each remainder term is stored with the running multiplier and rescaled
+    once at the end.
     """
     codec = ring.codec
     p = ring.field.p
     expmask = codec.expmask
     guard = codec.guard
-    elim = codec.nelim
     tagshift = codec.tagshift
+    heappush = heapq.heappush
+    heappop = heapq.heappop
 
     work = dict(fdict)
     heap = [-k for k in work]
@@ -90,18 +104,21 @@ def _nf_dict(fdict, reducers, ring, skip=None):
     rem = {}
     mult = 1
     while heap:
-        k = -heapq.heappop(heap)
+        k = -heappop(heap)
         c = work.pop(k, None)
         if c is None:
             continue
-        ke = k & expmask
-        ktag = k >> tagshift if elim else 0
-        hit = None
-        for idx, red in enumerate(reducers):
-            if skip is not None and skip[idx]:
+        if p:
+            c %= p
+            if not c:
                 continue
-            # red[1] is (lm & expmask) | guard; test lm | k slotwise
-            if ((red[1] - ke) & guard) == guard and (not elim or red[2] <= ktag):
+        ke = k & expmask
+        ktag = k >> tagshift
+        hit = None
+        for red in reducers:
+            # red[1] is (lm & expmask) | guard; test lm | k slotwise, then the
+            # tag, which is 0 for every reducer on a ring without one
+            if ((red[1] - ke) & guard) == guard and red[2] <= ktag:
                 hit = red
                 break
         if hit is None:
@@ -109,20 +126,14 @@ def _nf_dict(fdict, reducers, ring, skip=None):
             continue
         shift = k - hit[0]  # equals (quotient key) - ONE, the term-shift offset
         if p:
-            for kk, cc in hit[4]:
+            for kk, ncc in hit[4]:
                 nk = kk + shift
                 v = work.get(nk)
                 if v is None:
-                    v = -c * cc % p
-                    if v:
-                        work[nk] = v
-                        heapq.heappush(heap, -nk)
+                    work[nk] = c * ncc
+                    heappush(heap, -nk)
                 else:
-                    v = (v - c * cc) % p
-                    if v:
-                        work[nk] = v
-                    else:
-                        del work[nk]
+                    work[nk] = v + c * ncc
         else:
             a = hit[3]
             if a != 1:
@@ -137,7 +148,7 @@ def _nf_dict(fdict, reducers, ring, skip=None):
                 v = work.get(nk)
                 if v is None:
                     work[nk] = -c * cc
-                    heapq.heappush(heap, -nk)
+                    heappush(heap, -nk)
                 else:
                     v = v - c * cc
                     if v:
@@ -150,10 +161,17 @@ def _nf_dict(fdict, reducers, ring, skip=None):
 
 
 def _make_reducer(g: Polynomial):
-    """Reducer tuple of a polynomial already in `_normalized` form."""
+    """Reducer tuple of a polynomial already in `_normalized` form.
+
+    Over GF(p) the tail coefficients are stored negated mod p (see _nf_dict).
+    """
     codec = g.ring.codec
+    p = g.ring.field.p
     lm = g.lm()
-    tail = [(k, c) for k, c in g._t.items() if k != lm]
+    if p:
+        tail = [(k, p - c) for k, c in g._t.items() if k != lm]
+    else:
+        tail = [(k, c) for k, c in g._t.items() if k != lm]
     return (lm, (lm & codec.expmask) | codec.guard, codec.tag(lm), g._t[lm], tail)
 
 
@@ -242,6 +260,7 @@ def buchberger(polys) -> list:
     red = []        # parallel reducer tuples
     dead = []       # parallel flags; dead entries make no pairs / reduce nothing
     lms = []        # parallel packed lead monomials
+    live = []       # reducer tuples of the live elements, in basis order
     pairheap = []   # (lcm_key, i, j) with i < j
     lcms = {}       # (i, j) -> lcm key; pairs absent here are cancelled
 
@@ -274,18 +293,22 @@ def buchberger(polys) -> list:
                 lcms[(i, t)] = tau
                 heapq.heappush(pairheap, (tau, i, t))
         # retire basis elements whose lead monomial the new one divides
+        retired = False
         for i in range(t):
             if not dead[i] and codec.divides(lmh, lms[i]):
-                dead[i] = True
+                dead[i] = retired = True
+        if retired:
+            live[:] = [r for r, d in zip(red, dead) if not d]
         basis.append(h)
         red.append(_make_reducer(h))
+        live.append(red[-1])
         dead.append(False)
         lms.append(lmh)
 
     def reduce(f: Polynomial):
         """Add the normalized remainder of f, when nonzero, to the basis."""
         terms = f._t if p else _integral(f._t)
-        rem = _nf_dict(terms, red, ring, skip=dead)[0] if basis else terms
+        rem = _nf_dict(terms, live, ring)[0] if basis else terms
         if rem:
             update(_normalized(Polynomial(ring, rem)))
 
@@ -317,12 +340,9 @@ def interreduce(polys) -> list:
         return []
     ring = minimal[0].ring
     reducers = [_make_reducer(g) for g in minimal]
-    skip = [False] * len(minimal)
     out = []
     for idx, g in enumerate(minimal):
-        skip[idx] = True
-        rem = _nf_dict(g._t, reducers, ring, skip)[0]
-        skip[idx] = False
+        rem = _nf_dict(g._t, reducers[:idx] + reducers[idx + 1:], ring)[0]
         if ring.field.p:
             out.append(Polynomial(ring, rem).monic())
         else:
@@ -342,51 +362,59 @@ def is_groebner_basis(polys) -> bool:
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f / g when g divides f exactly; DomainError otherwise."""
+    """Quotient f / g when g divides f exactly; DomainError otherwise.
+
+    Over Q the division runs on integers: f = F / df and g = cg * G / dg with
+    F integral and G primitive, so by Gauss's lemma an exact quotient F / G is
+    integral, and a lead coefficient that G's does not divide proves the
+    division inexact.  Fractions are built only for the quotient.
+    """
     if not g:
         raise DomainError("division by the zero polynomial")
     ring = f.ring
     if ring != g.ring:
         raise DomainError("ring mismatch in division")
     codec = ring.codec
-    p = ring.field.p
-    gm = g.monic()
-    glm = gm.lm()
-    gitems = list(gm._t.items())
-    scale = ring.field.inv(g.lc())
-    work = dict(f._t)
     one = codec.one
+    p = ring.field.p
+    if p:
+        gt = g.monic()._t
+        work = dict(f._t)
+    else:
+        df, work = _cleared(f._t)
+        dg, gt = _cleared(g._t)
+        cg = math.gcd(*gt.values())
+        gt = {k: c // cg for k, c in gt.items()}
+    glm = max(gt)
+    a = gt[glm]
+    gitems = [(k, c) for k, c in gt.items() if k != glm]
     quot = {}
     while work:
         k = max(work)
-        c = work[k]
+        c = work.pop(k)
         if not codec.divides(glm, k):
             raise DomainError("polynomial division is not exact")
+        if not p:
+            c, r = divmod(c, a)
+            if r:
+                raise DomainError("polynomial division is not exact")
         qk = k - glm + one
         quot[qk] = c
         shift = qk - one
-        if p:
-            for kk, cc in gitems:
-                nk = kk + shift
-                v = work.get(nk)
-                v = (0 if v is None else v) - c * cc
+        for kk, cc in gitems:
+            nk = kk + shift
+            v = work.get(nk, 0) - c * cc
+            if p:
                 v %= p
-                if v:
-                    work[nk] = v
-                elif nk in work:
-                    del work[nk]
-        else:
-            for kk, cc in gitems:
-                nk = kk + shift
-                v = work.get(nk, 0) - c * cc
-                if v:
-                    work[nk] = v
-                elif nk in work:
-                    del work[nk]
+            if v:
+                work[nk] = v
+            elif nk in work:
+                del work[nk]
     if p:
+        scale = ring.field.inv(g.lc())
         quot = {k: c * scale % p for k, c in quot.items()}
     else:
-        quot = {k: c * scale for k, c in quot.items()}
+        quot = {k: Fraction(c * dg, df * cg) for k, c in quot.items()}
     return Polynomial(ring, quot)
 
 

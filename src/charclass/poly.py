@@ -98,7 +98,7 @@ class _Codec:
 
     __slots__ = (
         "nvars", "nelim", "nx", "degshift", "tagshift",
-        "one", "expmask", "guard",
+        "one", "expmask", "guard", "lanes", "lanesum", "sumshift",
     )
 
     def __init__(self, nvars: int, nelim: int = 0):
@@ -115,6 +115,12 @@ class _Codec:
         self.one = sum(_SLOTMAX << (_W * j) for j in range(nx))
         self.expmask = (1 << self.degshift) - 1
         self.guard = sum(1 << (_W * j + _W - 1) for j in range(nx))
+        # the even 16-bit slots, each in the low half of a 32-bit lane; one
+        # multiply by `lanesum` leaves the sum of all lanes in the top lane
+        nlanes = (nx + 1) // 2
+        self.lanes = sum(0xFFFF << (2 * _W * j) for j in range(nlanes))
+        self.lanesum = sum(1 << (2 * _W * j) for j in range(nlanes))
+        self.sumshift = 2 * _W * (nlanes - 1)
 
     def pack(self, exps) -> int:
         if self.nelim:
@@ -158,9 +164,25 @@ class _Codec:
         return True
 
     def lcm(self, a: int, b: int) -> int:
-        ea = self.unpack(a)
-        eb = self.unpack(b)
-        return self.pack(tuple(max(x, y) for x, y in zip(ea, eb)))
+        """Key of lcm(a, b), computed on the packed keys.
+
+        Slot j of the result is min(C - a_j, C - b_j): the guard bit of
+        ((a | guard) - b) marks the slots where a's is not the smaller, as in
+        `divides`.  The degree slot is nx*C minus the sum of the slots, which
+        one multiply gathers from the even plus the odd slots in 32-bit
+        lanes.  On tag rings the larger tag is kept.
+        """
+        ae = a & self.expmask
+        be = b & self.expmask
+        g = ((ae | self.guard) - be) & self.guard
+        e = ae ^ ((ae ^ be) & (g - (g >> (_W - 1))))
+        lanes = self.lanes
+        pairs = (e & lanes) + ((e >> _W) & lanes)
+        total = (pairs * self.lanesum >> self.sumshift) & 0xFFFFFFFF
+        key = e | (self.nx * _SLOTMAX - total) << self.degshift
+        if self.nelim:
+            return key | max(a >> self.tagshift, b >> self.tagshift) << self.tagshift
+        return key
 
     def xdeg(self, key: int) -> int:
         """Total degree in the non-elimination variables."""

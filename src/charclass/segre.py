@@ -12,12 +12,15 @@ linear system:
 The symbolic backend counts deg R_d in one of two ways, chosen by the field:
 
   * over GF(p) (sliced route): the cuts are restricted to a random affine
-    d-plane x = a + B*u, which meets R_d in deg R_d points and avoids X,
-    and 1 - T*g with g a random combination of the generators of I removes
-    the points on X.  The count is the number of standard monomials of the
+    d-plane, which meets R_d in deg R_d points and avoids X, and 1 - T*g
+    with g a random combination of the generators of I removes the points
+    on X.  The count is the number of standard monomials of the
     zero-dimensional Groebner basis in (T, u_1..u_d); the projective-degree
     route of Helmer (arXiv:1402.2930) and Eklund-Jost-Peterson
-    (arXiv:1109.5895);
+    (arXiv:1109.5895).  The plane is drawn in graph form: the last d
+    coordinates are u_1..u_d and the others random affine forms a + B*u in
+    them.  Such graphs fill a dense open cell of the Grassmannian, so the
+    plane is still generic, and d of the variables restrict to monomials;
   * over QQ (saturation route): deg R_d is the degree of the saturation
     (f_1..f_d : I^infinity), whose codimension must be exactly d.  Random
     rational slices grow coefficients, which keeps slicing slower than
@@ -152,19 +155,25 @@ def _saturated_degree(I, cuts, rng):
 
 
 def _random_slice(ring: Ring, target: Ring, rng) -> list:
-    """Images x_j = a_j + sum_i B_ji u_i of a random affine d-plane.
+    """Images of the source coordinates on a random affine d-plane in graph form.
 
     target is the slice ring (T, u_1..u_d); T does not occur in the images.
+    The last d coordinates map to u_1..u_d, and each of the other n+1-d gets
+    a random affine image x_j = a_j + sum_i B_ji u_i.  The plane stays
+    generic: the planes that are graphs over a fixed set of coordinates form
+    a dense open cell of the Grassmannian, which uniform (a, B) cover, so a
+    bad draw stays rare and the level's resampling catches it.  Restricting
+    to the plane substitutes monomials for d of the n+1 variables.
     """
     field = ring.field
     u = target.gens()[1:]
     images = []
-    for _ in range(ring.nvars):
+    for _ in range(ring.nvars - len(u)):
         img = target.const(field.uniform(rng))
         for ui in u:
             img = img + ui * field.uniform(rng)
         images.append(img)
-    return images
+    return images + u
 
 
 def _sliced_degree(I, cuts, rng):

@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library's own code paths: the
 distinct-point count of two plane curves goes through interpolated Sylvester
-resultants, and the smooth-hypersurface class comes from plain integer power
-series arithmetic.
+resultants, the smooth-hypersurface class comes from plain integer power
+series arithmetic, and the monomial lcm unpacks exponent tuples.
 """
 
 from __future__ import annotations
@@ -12,6 +12,16 @@ import math
 import random
 
 PRIME = 2147483647  # 2^31 - 1, inside the CLI's default sampling range
+
+
+def lcm_oracle(codec, a: int, b: int) -> int:
+    """Key of lcm(a, b) by unpacking: exponent-wise max, then repacking.
+
+    The reference for `_Codec.lcm`, which works on the packed keys.
+    """
+    ea = codec.unpack(a)
+    eb = codec.unpack(b)
+    return codec.pack(tuple(max(x, y) for x, y in zip(ea, eb)))
 
 
 def scalar_equal(f, g) -> bool:

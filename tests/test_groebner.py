@@ -16,6 +16,7 @@ from charclass import (
     normal_form,
     s_polynomial,
 )
+from charclass.groebner import interreduce
 from charclass.ideals import Ideal, intersect
 
 from helpers import PRIME
@@ -81,15 +82,70 @@ def test_exact_divide(P2):
 
 
 def test_exact_divide_rationals():
-    ring = Ring(("x", "y"), FieldSpec(0))
-    x, y = ring.gens()
+    ring = Ring(("x", "y", "z"), FieldSpec(0))
+    x, y, z = ring.gens()
     f = (2 * x + y) * (x - 3 * y)
     assert exact_divide(f, 2 * x + y) == x - 3 * y
+    # divisors with fractional coefficients
+    g = Fraction(2, 3) * x - Fraction(1, 4) * y
+    q = Fraction(3, 5) * x * z + 7 * y - Fraction(1, 2) * z
+    q2 = Fraction(-5, 6) * y * y + Fraction(9, 7) * z
+    assert exact_divide(g * q, g) == q
+    assert exact_divide(g * q * q2, q * g) == q2
+    assert all(isinstance(c, Fraction) for _, c in exact_divide(g * q, g).terms())
+    with pytest.raises(DomainError):
+        exact_divide(g * q + Fraction(1, 7) * y * y, g)
+    with pytest.raises(DomainError):
+        exact_divide(x * x, 2 * x + y)  # the lead coefficient 1 is not a multiple of 2
+    rng = random.Random(83)
+    for _ in range(20):
+        a, b = _random_ideal(ring, rng)[:2]
+        assert exact_divide(a * b, b) == a
 
 
 def test_empty_and_zero_inputs(P2):
     assert buchberger([]) == []
     assert buchberger([P2.zero()]) == []
+
+
+# -- GF(p) contracts of the lazy reduction ----------------------------------------
+
+
+def _canonical(polys, p):
+    """Every coefficient in [1, p), so no term is zero or unreduced."""
+    return all(0 < c < p for f in polys for c in f._t.values())
+
+
+def test_lazy_reduction_cancels_mod_p(P2):
+    # with a = (p + 1) / 2, reducing by x - a*z sends 2*x*y to (p + 1)*y*z,
+    # which the (p - 1)*y*z term cancels mod p but not over Z (their sum is
+    # 2p); 3*x + 5*z leaves (3a + 5) z = (p + 13)/2 z only once reduced mod p
+    p = PRIME
+    x, y, z = P2.gens()
+    a = (p + 1) // 2
+    g = x - a * z
+    f = 2 * x * y + (p - 1) * y * z + 3 * x + 5 * z
+    r = normal_form(f, [g])
+    assert r == ((p + 13) // 2) * z
+    assert _canonical([r], p)
+    assert normal_form(2 * x * y + (p - 1) * y * z, [g]).is_zero()
+    # y^2 + 2*x*z - z^2 reduces to y^2 by the same cancellation
+    h = y * y + 2 * x * z + (p - 1) * z * z
+    assert interreduce([g, h]) == [g, y * y]
+    assert buchberger([h, g]) == [g, y * y]
+
+
+def test_lazy_reduction_returns_canonical_coefficients(P2, rng):
+    p = PRIME
+    for _ in range(20):
+        gens = [P2.random_form(rng.randrange(1, 4), rng) for _ in range(3)]
+        gb = buchberger(gens)
+        assert _canonical(gb, p)
+        assert _canonical(interreduce(gens + gb), p)
+        f = P2.random_form(4, rng)
+        r = normal_form(f, gb)
+        assert _canonical([r], p)
+        assert normal_form(f - r, gb).is_zero()
 
 
 # -- QQ contracts of the fraction-free engine -----------------------------------

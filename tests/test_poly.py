@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charclass import (
     DomainError,
@@ -16,9 +18,9 @@ from charclass import (
     poly_gcd,
     squarefree_part,
 )
-from charclass.poly import substitute_linear
+from charclass.poly import _SLOTMAX, _Codec, substitute_linear
 
-from helpers import PRIME, scalar_equal
+from helpers import PRIME, lcm_oracle, scalar_equal
 
 
 def rand_poly(ring, rng, deg=3, terms=5):
@@ -109,6 +111,60 @@ class TestGrevlex:
         ts = f.terms()
         keys = [P2.codec.pack(e) for e, _ in ts]
         assert keys == sorted(keys, reverse=True)
+
+
+@st.composite
+def _lcm_cases(draw):
+    """(codec, a, b): two keys whose lcm's degree still fits its 16-bit slot.
+
+    Exponents are drawn small, near the 32767 maximum or anywhere in
+    between; the lcm's exponents share a total budget of 0xFFFF, and the
+    tag of a tag ring is unbounded.
+    """
+    nelim = draw(st.integers(0, 1))
+    nx = draw(st.integers(1, 7))
+    budget = 0xFFFF
+    ea, eb = [], []
+    if nelim:
+        ea.append(draw(st.integers(0, 40)))
+        eb.append(draw(st.integers(0, 40)))
+    for _ in range(nx):
+        cap = min(_SLOTMAX, budget)
+        top = draw(st.one_of(
+            st.integers(0, min(3, cap)),
+            st.integers(max(0, cap - 3), cap),
+            st.integers(0, cap),
+        ))
+        budget -= top
+        other = draw(st.one_of(st.just(top), st.integers(0, top)))
+        if draw(st.booleans()):
+            top, other = other, top
+        ea.append(top)
+        eb.append(other)
+    codec = _Codec(nelim + nx, nelim)
+    return codec, codec.pack(tuple(ea)), codec.pack(tuple(eb))
+
+
+class TestLcm:
+    @settings(max_examples=300, deadline=None)
+    @given(_lcm_cases())
+    def test_packed_matches_oracle(self, case):
+        codec, a, b = case
+        key = codec.lcm(a, b)
+        assert key == lcm_oracle(codec, a, b)
+        assert key == codec.lcm(b, a)
+        assert codec.divides(a, key) and codec.divides(b, key)
+
+    def test_extremes(self):
+        # maximal exponents from both sides fill the degree slot exactly
+        codec = _Codec(4, 1)
+        a = codec.pack((5, _SLOTMAX, 0, 1))
+        b = codec.pack((2, 1, _SLOTMAX, 0))
+        assert codec.unpack(codec.lcm(a, b)) == (5, _SLOTMAX, _SLOTMAX, 1)
+        assert codec.xdeg(codec.lcm(a, b)) == 0xFFFF
+        codec = _Codec(1)
+        top = codec.pack((_SLOTMAX,))
+        assert codec.lcm(codec.pack((0,)), top) == top
 
 
 class TestPartial:

@@ -216,6 +216,33 @@ class TestSlicedAgainstSaturation:
             oracle = residual_degrees_saturation(I, random.Random(rng.random()), m=m)
             assert sliced == oracle, (str(I), m, sliced.degrees, oracle.degrees)
 
+    def test_ideals_on_the_graph_coordinates(self):
+        # the graph-form slice fixes the last coordinates (x2, x3 at level 2,
+        # x3 at level 1) to u_1..u_d; these schemes lie in or along them
+        R = Ring(tuple(f"x{i}" for i in range(4)), FieldSpec(PRIME))
+        x0, x1, x2, x3 = R.gens()
+        cut = x0 * x1 * x2 * x3 * (x0 + x1 + x2 + x3)
+        cases = [[x2, x3], [x3 * x3, x2 * x3], [x2 * x3], [cut],
+                 jacobian_ideal(cut).gens, [x3 * x0, x2 * x3 * x1]]
+        rng = random.Random(304)
+        for gens in cases:
+            I = Ideal(R, gens)
+            for _ in range(3):
+                sliced = residual_degrees_symbolic(I, random.Random(rng.random()))
+                oracle = residual_degrees_saturation(I, random.Random(rng.random()))
+                assert sliced == oracle, (str(I), sliced.degrees, oracle.degrees)
+
+    def test_slice_is_a_graph_over_the_last_coordinates(self, P3):
+        rng = random.Random(305)
+        for d in range(1, 4):
+            target = Ring(("T",) + tuple(f"u{i}" for i in range(1, d + 1)), P3.field)
+            images = segre._random_slice(P3, target, rng)
+            assert len(images) == 4
+            assert images[4 - d:] == target.gens()[1:]
+            for img in images[:4 - d]:
+                assert img.total_degree() <= 1
+                assert img.coefficient((1,) + (0,) * d) == 0  # T does not occur
+
     def test_rationals_use_saturation(self, monkeypatch):
         # over QQ the sliced route must not run at all
         def forbidden(*args):
