@@ -14,6 +14,7 @@ re-running with the recorded values reproduces the outputs exactly.  With
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -120,7 +121,8 @@ class ResultRecord:
 def run(command: str, flags: dict, problem) -> ResultRecord:
     """Dispatch a parsed problem to the library and collect a ResultRecord.
 
-    flags: seed, fieldp, backend, degree_bound, affine, verify.
+    flags: seed, fieldp, backend, degree_bound, affine, verify.  verify
+    computes the answer twice from the continuing rng; both must agree.
     """
     seed = flags.get("seed")
     if seed is None:
@@ -129,7 +131,6 @@ def run(command: str, flags: dict, problem) -> ResultRecord:
     if fieldp is None:
         fieldp = random_prime(random.Random(seed ^ 0x5EED))
     backend = flags.get("backend", "symbolic")
-    verify = bool(flags.get("verify"))
     affine = bool(flags.get("affine")) or problem.affine
     rng = random.Random(seed)
     cfg = TrackerConfig(seed=seed)
@@ -137,56 +138,48 @@ def run(command: str, flags: dict, problem) -> ResultRecord:
                           field=fieldp, seed=seed, backend=backend)
     t0 = time.perf_counter()
 
-    if command == "euler" and affine:
+    if affine:
+        if command != "euler":
+            raise DomainError(f"--affine applies to the euler command, not {command!r}")
         gens, ring = problem.affine_generators(fieldp)
         record.n = ring.nvars  # ambient of the projective closure
-        record.euler = affine_euler(
-            gens, ring=ring, backend=backend, rng=rng, cfg=cfg,
-            homvar=problem.homvar,
-        )
         record.warnings.append("affine mode: euler of the affine scheme")
-        record.timing_ms = int((time.perf_counter() - t0) * 1000)
-        return record
-    if affine:
-        raise DomainError(f"--affine applies to the euler command, not {command!r}")
 
-    ideal = problem.ideal(fieldp)
-    record.n = ideal.ring.nvars - 1
-    stats = dimension_and_degree(ideal)
-    record.dim = stats.dim
-
-    if command == "segre":
-        sd = segre_degrees(
-            ideal, backend=backend, rng=rng, m=flags.get("degree_bound"),
-            cfg=cfg, verify=verify,
-        )
-        record.segre = list(sd.values)
-    elif command in ("csm", "euler"):
-        res = csm_subscheme(ideal, backend=backend, rng=rng, cfg=cfg, verify=verify)
-        record.euler = res.euler
-        if command == "csm":
-            record.csm_degrees = list(res.degrees)
-            record.pushforward = list(res.pushforward.coeffs)
-        if verify:
-            res2 = csm_subscheme(ideal, backend=backend, rng=rng, cfg=cfg)
-            if res2.pushforward != res.pushforward:
-                raise GenericityError("verification mismatch in csm pushforward")
-    elif command == "mldeg":
-        res = ml_degree(ideal, backend=backend, rng=rng, cfg=cfg)
-        record.ml_degree = res.ml_degree
-        record.chi_X = res.chi_model
-        record.chi_cut = res.chi_cut
-        record.warnings.extend(res.warnings)
-        if verify:
-            res2 = ml_degree(ideal, backend=backend, rng=rng, cfg=cfg)
-            if (res2.ml_degree, res2.chi_model, res2.chi_cut) != (
-                res.ml_degree, res.chi_model, res.chi_cut,
-            ):
-                raise GenericityError("verification mismatch in ml degree")
+        def answer():
+            return {"euler": affine_euler(gens, ring=ring, backend=backend, rng=rng,
+                                          cfg=cfg, homvar=problem.homvar)}
     else:
-        raise DomainError(f"unknown command {command!r}")
+        ideal = problem.ideal(fieldp)
+        record.n = ideal.ring.nvars - 1
+        record.dim = dimension_and_degree(ideal).dim
+        answer = functools.partial(_answer, command, ideal, backend, rng, cfg,
+                                   flags.get("degree_bound"))
+
+    fields = answer()
+    if flags.get("verify") and answer() != fields:
+        raise GenericityError(f"--verify: two runs of {command} gave different answers")
+    for key, value in fields.items():
+        setattr(record, key, value)
     record.timing_ms = int((time.perf_counter() - t0) * 1000)
     return record
+
+
+def _answer(command, ideal, backend, rng, cfg, degree_bound) -> dict:
+    """The record fields one run of `command` produces."""
+    if command == "segre":
+        sd = segre_degrees(ideal, backend=backend, rng=rng, m=degree_bound, cfg=cfg)
+        return {"segre": list(sd.values)}
+    if command in ("csm", "euler"):
+        res = csm_subscheme(ideal, backend=backend, rng=rng, cfg=cfg)
+        if command == "euler":
+            return {"euler": res.euler}
+        return {"euler": res.euler, "csm_degrees": list(res.degrees),
+                "pushforward": list(res.pushforward.coeffs)}
+    if command == "mldeg":
+        res = ml_degree(ideal, backend=backend, rng=rng, cfg=cfg)
+        return {"ml_degree": res.ml_degree, "chi_X": res.chi_model,
+                "chi_cut": res.chi_cut, "warnings": list(res.warnings)}
+    raise DomainError(f"unknown command {command!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -210,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--affine", action="store_true",
                     help="treat generators as affine; euler computes chi of the affine scheme")
     ap.add_argument("--verify", action="store_true",
-                    help="run randomized computations twice and require identical output")
+                    help="run the command twice with fresh randomness and require identical output")
     return ap
 
 

@@ -13,17 +13,22 @@ The pipeline for a hypersurface V(f) in P^n:
 
 The same degrees also come straight from the s~_i by an explicit double
 sum (csm_degrees_from_segre); the hypersurface routine cross-checks both.
-Arbitrary subschemes go through inclusion-exclusion over products of
-generators; the top coefficient of the pushforward is the topological Euler
-characteristic of the support, which feeds the affine and ML-degree
-conveniences.
+
+Everything else is one inclusion-exclusion over an open set (Aluffi),
+c_SM(1_{V(G) \\ V(h)}) = sum_{S subset G} (-1)^|S| (c(P^n) - c_SM(V(h f_S)))
+with f_S the product of S: h = 1 gives V(G), h = x_0 its affine part, and
+h = p_0 * ... * p_n * (p_0 + ... + p_n) the open model U of an ML degree,
+(-1)^dim chi(U) (Huh).  A pushforward's top coefficient is the Euler
+characteristic.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -34,6 +39,9 @@ from .segre import SegreDegrees, segre_degrees
 from .squarefree import squarefree_part
 
 log = logging.getLogger(__name__)
+
+# inclusion-exclusion needs up to 2^s hypersurfaces for s generators
+MAX_GENERATORS = 16
 
 
 @dataclass(frozen=True)
@@ -214,9 +222,7 @@ def csm_hypersurface(
     f: Polynomial,
     backend: str = "symbolic",
     rng=None,
-    m: int | None = None,
     cfg=None,
-    verify: bool = False,
 ) -> CsmResult:
     """CSM class data of the hypersurface V(f) in P^n.
 
@@ -237,7 +243,7 @@ def csm_hypersurface(
     if dimension_and_degree(jac).dim < 0:
         segre = None  # smooth hypersurface
     else:
-        segre = segre_degrees(jac, backend=backend, rng=rng, m=m, cfg=cfg, verify=verify)
+        segre = segre_degrees(jac, backend=backend, rng=rng, cfg=cfg)
     profile = SegreProfile.from_segre(n, r, segre)
     push = csm_from_shadow(shadow_from_segre(profile))
     degrees = tuple(push.coeffs[1:])
@@ -249,47 +255,46 @@ def csm_hypersurface(
     return CsmResult(push, degrees, push.coeffs[n], n - 1)
 
 
-def csm_subscheme(
-    I: Ideal,
-    backend: str = "symbolic",
-    rng=None,
-    cfg=None,
-    verify: bool = False,
-    max_generators: int = 16,
-) -> CsmResult:
-    """CSM class data of V(I) by inclusion-exclusion over generator products.
-
-    Costs 2^s - 1 hypersurface computations for s generators, one per
-    nonempty subset.  The zero ideal returns c_SM(P^n); the unit ideal is a
-    domain error (empty scheme).
+def _open_class(gens, h: Polynomial, backend, rng, cfg) -> ClassExpr:
+    """Pushforward of c_SM(1_{V(gens) \\ V(h)}): the module's sum over the
+    subsets of gens, size-major.  V(constant) is empty, so h = 1 costs
+    2^s - 1 hypersurfaces and any other h 2^s.
     """
-    rng = rng or random.Random()
-    n = I.ring.nvars - 1
-    if I.is_zero:
-        push = hyperplane_power(n, 0, n + 1)
-        # truncation drops the H^(n+1) coefficient; top coefficient is n+1
-        return CsmResult(push, tuple(push.coeffs[0:]), push.coeffs[n], n)
-    stats = dimension_and_degree(I)
-    if stats.dim < 0:
-        raise DomainError("empty scheme: CSM classes are not defined")
-    s = len(I.gens)
-    if s > max_generators:
+    n = h.ring.nvars - 1
+    s = len(gens)
+    if s > MAX_GENERATORS:
         raise ResourceError(
-            f"inclusion-exclusion over {s} generators needs 2^{s}-1 "
+            f"inclusion-exclusion over {s} generators needs 2^{s} "
             "hypersurface computations; refusing"
         )
     if s > 10:
-        log.warning("inclusion-exclusion over %d generators: 2^%d - 1 terms", s, s)
+        log.warning("inclusion-exclusion over %d generators: 2^%d terms", s, s)
+    ambient = hyperplane_power(n, 0, n + 1)
+    tail = () if h.is_constant() else (h,)
     total = ClassExpr.zero(n)
-    for size in range(1, s + 1):
-        for subset in itertools.combinations(range(s), size):
-            prod = I.gens[subset[0]]
-            for idx in subset[1:]:
-                prod = prod * I.gens[idx]
-            result = csm_hypersurface(prod, backend=backend, rng=rng, cfg=cfg, verify=verify)
-            sign = 1 if size % 2 == 1 else -1
-            total = total + sign * result.pushforward
-    dim = stats.dim
+    for size in range(s + 1):
+        for subset in itertools.combinations(gens, size):
+            factors = subset + tail
+            term = ambient
+            if factors:
+                prod = functools.reduce(operator.mul, factors)
+                term = term - csm_hypersurface(prod, backend=backend, rng=rng, cfg=cfg).pushforward
+            total = total + (-1) ** size * term
+    return total
+
+
+def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None, cfg=None) -> CsmResult:
+    """CSM class data of V(I) by inclusion-exclusion over generator products.
+
+    Costs 2^s - 1 hypersurface computations for s generators, one per
+    nonempty subset.  The zero ideal gives c_SM(P^n); the unit ideal is a
+    domain error (empty scheme).
+    """
+    stats = dimension_and_degree(I)
+    if stats.dim < 0:
+        raise DomainError("empty scheme: CSM classes are not defined")
+    total = _open_class(I.gens, I.ring.one(), backend, rng or random.Random(), cfg)
+    n, dim = I.ring.nvars - 1, stats.dim
     degrees = tuple(total.coeffs[n - dim + p] for p in range(dim + 1))
     return CsmResult(total, degrees, total.coeffs[n], dim)
 
@@ -310,9 +315,11 @@ def affine_euler(
     """Euler characteristic of an affine scheme V(gens) in A^n.
 
     Homogenizes every generator with a fresh leading variable x_0 and returns
-    chi(projective closure ideal) - chi(same + (x_0)).  With `homvar` naming
-    a variable of an already homogeneous input, that variable plays x_0
-    instead and no new variable is added.
+    chi(V(homogenized gens) \\ V(x_0)), the open set that is the affine
+    scheme; schemes with no points at infinity need no special case.  With
+    `homvar` naming a variable of an already homogeneous input, that
+    variable plays x_0 instead and no new variable is added.  An empty
+    projective closure is a domain error.
     """
     gens = list(gens)
     if ring is None:
@@ -331,10 +338,10 @@ def affine_euler(
         hgens = [homogenize(g, name, 0) for g in gens if not g.is_zero()]
         hv = hring.var(0)
     closure = Ideal(hring, hgens)
-    chi_closure = euler_characteristic(closure, backend=backend, rng=rng, cfg=cfg)
-    at_infinity = Ideal(hring, list(closure.gens) + [hv])
-    chi_inf = euler_characteristic(at_infinity, backend=backend, rng=rng, cfg=cfg)
-    return chi_closure - chi_inf
+    if dimension_and_degree(closure).dim < 0:
+        raise DomainError("empty scheme: the projective closure is empty")
+    total = _open_class(closure.gens, hv, backend, rng or random.Random(), cfg)
+    return total.coeffs[-1]
 
 
 def _fresh_name(names):
@@ -358,24 +365,22 @@ def ml_degree(I: Ideal, backend: str = "symbolic", rng=None, cfg=None) -> MlResu
     """Maximum likelihood degree of the model X = V(I) in probability
     coordinates p_0..p_n.
 
-    Computes chi of X and of X cut by p_0 * ... * p_n * (p_0 + ... + p_n),
-    and returns (-1)^{dim X} (chi(X) - chi(cut)).  Assumes the open part U is
-    dense in X and smooth (surfaced in the warnings, not checked).
+    With g = p_0 * ... * p_n * (p_0 + ... + p_n) and U = X \\ V(g), returns
+    (-1)^{dim X} chi(U) (Huh), where chi(U) comes from one inclusion-exclusion
+    over the open set and chi(cut) = chi(X) - chi(U) is reported beside it.
+    Assumes U is dense in X and smooth (surfaced in the warnings, not
+    checked).
     """
+    rng = rng or random.Random()
     ring = I.ring
-    stats = dimension_and_degree(I)
-    if stats.dim < 0:
-        raise DomainError("ML degree of an empty model")
     g = ring.one()
     for j in range(ring.nvars):
         g = g * ring.var(j)
     g = g * sum(ring.gens(), ring.zero())
-    chi_model = euler_characteristic(I, backend=backend, rng=rng, cfg=cfg)
-    cut = Ideal(ring, list(I.gens) + [g])
-    chi_cut = euler_characteristic(cut, backend=backend, rng=rng, cfg=cfg)
-    chi_u = chi_model - chi_cut
+    model = csm_subscheme(I, backend=backend, rng=rng, cfg=cfg)
+    chi_u = _open_class(I.gens, g, backend, rng, cfg).coeffs[-1]
     warnings = ["assumes U = X \\ V(g) is smooth, very affine and dense in X"]
     if chi_u == 0:
         warnings.append("chi(U) = 0: U may be empty or the model degenerate")
-    mld = (-1) ** stats.dim * chi_u
-    return MlResult(mld, chi_model, chi_cut, stats.dim, tuple(warnings))
+    mld = (-1) ** model.dim * chi_u
+    return MlResult(mld, model.euler, model.euler - chi_u, model.dim, tuple(warnings))

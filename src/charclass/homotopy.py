@@ -20,8 +20,10 @@ table and one gather-product evaluate F and J at every path at once.
 Every path ends in exactly one of four buckets: solution, non-solution,
 singular or diverged.  A level whose buckets do not add up to m^d is an
 error.  Converged endpoints that do not lie on V(I) and have a nonsingular
-Jacobian are the non-solutions; their count, after merging duplicates, is
-deg(R_d).
+Jacobian are the non-solutions; their count is deg(R_d).  A nonsingular
+root ends exactly one path, so two or more well-conditioned endpoints on one
+point (solutions or not) show that a path jumped onto another's root and
+left one unreached: the level is an error too, logged as `crossed`.
 
 No information flows between levels (no cascade reuse): each level gets
 fresh random data.
@@ -445,31 +447,43 @@ def _count_level(ring, gens, d, m, rng, cfg) -> int:
         raise NumericBackendError(f"start point residual {res0.max():.2e} too large")
 
     histogram = dict.fromkeys(("solution", "non-solution", "singular", "diverged"), 0)
-    non_solutions = []
+    ends = []  # converged, nonsingular endpoints: (point, bucket)
     for ep in track_paths(starts, hom, cfg):
         bucket = ep.status
         if ep.status == "converged":
             bucket, ep.residual = classify_endpoint(ep.point, gens, target, cfg)
             ep.classification = bucket if bucket != "singular" else None
-            if bucket == "non-solution":
-                non_solutions.append(ep.point / np.linalg.norm(ep.point))
+            if bucket != "singular":
+                ends.append((ep.point, bucket))
         histogram[bucket] += 1
-    log.debug("level %d path histogram %s", d, histogram)
     if sum(histogram.values()) != m**d:
         raise NumericBackendError(
             f"level {d} accounted for {sum(histogram.values())} of {m**d} paths"
         )
-    return _count_clusters(non_solutions, cfg.cluster_tol)
+    # a nonsingular root of the target ends exactly one path, so a cluster of
+    # two or more well-conditioned endpoints shows that paths crossed
+    clusters = _clusters([x / np.linalg.norm(x) for x, _ in ends], cfg.cluster_tol)
+    crossed = sum(
+        len(c) - 1 for c in clusters if len(c) > 1 and all(
+            np.linalg.cond(target.eval(ends[i][0][None])[1][0]) < cfg.singular_cond
+            for i in c
+        )
+    )
+    log.debug("level %d path histogram %s crossed %d", d, histogram, crossed)
+    if crossed:
+        raise NumericBackendError(f"level {d}: {crossed} paths crossed onto another's endpoint")
+    return sum(ends[c[0]][1] == "non-solution" for c in clusters)
 
 
-def _count_clusters(points, tol) -> int:
-    """Distinct projective points among unit vectors, chordal metric."""
-    reps = []
-    for x in points:
-        for r in reps:
-            ip = abs(np.vdot(r, x))
+def _clusters(points, tol) -> list:
+    """Indices of unit vectors grouped by projective point, chordal metric."""
+    groups = []
+    for i, x in enumerate(points):
+        for g in groups:
+            ip = abs(np.vdot(points[g[0]], x))
             if (2 * max(0.0, 1 - min(ip, 1.0))) ** 0.5 < tol:
+                g.append(i)
                 break
         else:
-            reps.append(x)
-    return len(reps)
+            groups.append([i])
+    return groups

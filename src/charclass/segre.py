@@ -223,25 +223,17 @@ def segre_degrees(
     rng=None,
     m: int | None = None,
     cfg=None,
-    verify: bool = False,
 ) -> SegreDegrees:
     """Degrees of the Segre classes of V(I) in P^n.
 
     backend: "symbolic" (Groebner bases) or "numeric" (homotopy non-solution
-    counts).  With verify=True the residuals are recomputed with fresh
-    randomness and must agree exactly.
+    counts).  One draw of the residuals; the CLI's --verify reruns the whole
+    command with fresh randomness instead.
     """
     rng = rng or random.Random()
     if dimension_and_degree(I).dim < 0:
         raise DomainError("Segre degrees need a nonempty scheme")
-    R = _residuals(I, backend, rng, m, cfg)
-    if verify:
-        R2 = _residuals(I, backend, rng, m, cfg)
-        if R2 != R:
-            raise GenericityError(
-                f"verification mismatch: residual degrees {R.degrees} vs {R2.degrees}"
-            )
-    out = segre_from_residuals(R)
+    out = segre_from_residuals(_residuals(I, backend, rng, m, cfg))
     if out.values and out.values[0] < 1:
         raise GenericityError(
             f"deg s_0 = {out.values[0]} < 1 for a nonempty scheme; residuals suspect"

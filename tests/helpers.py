@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own code paths: the
 distinct-point count of two plane curves goes through interpolated Sylvester
 resultants, the smooth-hypersurface class comes from plain integer power
-series arithmetic, and the monomial lcm unpacks exponent tuples.
+series arithmetic, and the monomial lcm unpacks exponent tuples.  The
+two-pass Euler characteristic of an open set keeps the rule the library used
+before it shared one inclusion-exclusion pass.
 """
 
 from __future__ import annotations
@@ -11,7 +13,20 @@ from __future__ import annotations
 import math
 import random
 
+from charclass import Ideal, euler_characteristic
+
 PRIME = 2147483647  # 2^31 - 1, inside the CLI's default sampling range
+
+
+def euler_two_pass(gens, h, rng) -> int:
+    """chi(V(gens) minus V(h)) as chi(V(gens)) - chi(V(gens + [h])).
+
+    Two full inclusion-exclusions, 2^s - 1 and 2^(s+1) - 1 hypersurfaces:
+    the reference for the one-pass open-set class.
+    """
+    ring = h.ring
+    closed = euler_characteristic(Ideal(ring, gens), rng=rng)
+    return closed - euler_characteristic(Ideal(ring, list(gens) + [h]), rng=rng)
 
 
 def lcm_oracle(codec, a: int, b: int) -> int:

@@ -1,10 +1,13 @@
 """CLI dispatch, provenance, determinism, JSON schema, exit codes."""
 
+import itertools
 import json
 
 import pytest
 
+import charclass.cli
 from charclass.cli import main, run
+from charclass.errors import GenericityError
 from charclass.problemfile import parse_problem
 
 from helpers import PRIME
@@ -126,6 +129,23 @@ class TestMainExitCodes:
     def test_affine_flag_restriction(self, capsys):
         assert main(["csm", "--expr", "vars x,y; gens: x;", "--affine",
                      "--seed", "1", "--field", str(PRIME)]) == 3
+
+    def test_affine_no_points_at_infinity(self, capsys):
+        # two points of A^1, none at infinity
+        assert main(["euler", "--affine", "--expr", "vars x; affine; gens: x^2-1;",
+                     "--seed", "1"]) == 0
+        assert "euler characteristic: 2" in capsys.readouterr().out
+
+    def test_verify_mismatch_exit_4(self, capsys, monkeypatch):
+        # --verify covers euler --affine too: an answer that changes between
+        # the two runs is a genericity error
+        hyperbola = "vars x,y; affine; gens: x*y - 1;"
+        answers = itertools.count()
+        monkeypatch.setattr(charclass.cli, "affine_euler", lambda *a, **k: next(answers))
+        with pytest.raises(GenericityError):
+            run("euler", dict(FLAGS, verify=True), parse_problem(hyperbola))
+        assert main(["euler", "--expr", hyperbola, "--seed", "1", "--field", str(PRIME),
+                     "--verify"]) == 4
 
     def test_verify_roundtrips(self, capsys):
         assert main(["segre", "--expr", TWISTED, "--seed", "5",

@@ -22,7 +22,14 @@ from charclass import (
     shadow_from_segre,
 )
 
-from helpers import count_distinct_plane_points, smooth_hypersurface_pushforward
+from charclass.csm import _open_class
+
+from helpers import (
+    PRIME,
+    count_distinct_plane_points,
+    euler_two_pass,
+    smooth_hypersurface_pushforward,
+)
 
 
 def random_profile(rng, nmax=8, rmax=10):
@@ -188,6 +195,32 @@ class TestInclusionExclusion:
             done += 1
 
 
+def _open_euler(gens, h, rng):
+    return _open_class(tuple(gens), h, "symbolic", rng, None).coefficient(h.ring.nvars - 1)
+
+
+class TestOpenSet:
+    """chi(V(G) minus V(h)) from one pass against the two-pass oracle."""
+
+    def test_plane_curve_pairs(self, P2, rng):
+        for _ in range(30):
+            f = P2.random_form(rng.randrange(1, 4), rng)
+            h = P2.random_form(rng.randrange(1, 4), rng)
+            assert _open_euler([f], h, rng) == euler_two_pass([f], h, rng), (str(f), str(h))
+
+    def test_p3_cases(self, P3, twisted_cubic, rng):
+        x, y, z, w = P3.gens()
+        cases = [
+            (twisted_cubic.gens, x + 2 * y + 3 * z + 5 * w, -1),  # P^1 minus 3 points
+            (twisted_cubic.gens, x, 1),  # x = 0 meets the curve at one point
+            ([x * w - y * z], x, 1),  # quadric minus two lines
+            ([x, y], z * w, 0),  # line minus two points
+            ([x * y], z + w, 1),  # two planes minus two lines through a point
+        ]
+        for gens, h, chi in cases:
+            assert _open_euler(gens, h, rng) == euler_two_pass(gens, h, rng) == chi, (gens, h)
+
+
 class TestAffineEuler:
     def test_affine_line(self, rng):
         from charclass import FieldSpec, Ring
@@ -216,6 +249,33 @@ class TestAffineEuler:
             RA = Ring(tuple(f"x{i}" for i in range(nv)), FieldSpec(PRIME))
             assert affine_euler([], ring=RA, rng=rng) == 1
 
+    def test_no_points_at_infinity(self, rng):
+        from charclass import FieldSpec, Ring
+
+        A1 = Ring(("x",), FieldSpec(PRIME))
+        (x,) = A1.gens()
+        assert affine_euler([x * x - 1], rng=rng) == 2
+        A2 = Ring(("x", "y"), FieldSpec(PRIME))
+        x, y = A2.gens()
+        assert affine_euler([x - 1, y - 2], rng=rng) == 1
+
+    def test_empty_closure_rejected(self, rng):
+        from charclass import FieldSpec, Ring
+
+        A1 = Ring(("x",), FieldSpec(PRIME))
+        (x,) = A1.gens()
+        for gens in ([x, x - 1], [A1.one()]):
+            with pytest.raises(DomainError):
+                affine_euler(gens, rng=rng)
+
+    def test_coordinate_cross(self, rng):
+        # V(xy) in A^2: two affine lines through one point
+        from charclass import FieldSpec, Ring
+
+        A2 = Ring(("x", "y"), FieldSpec(PRIME))
+        x, y = A2.gens()
+        assert affine_euler([x * y], rng=rng) == 1
+
     def test_nodal_affine_cubic(self, rng):
         # y^2 = x^3 + x^2: projective closure is the nodal cubic (chi = 1)
         # minus its one smooth point at infinity
@@ -242,6 +302,15 @@ class TestMlDegree:
         assert res.chi_cut == 2
         assert res.ml_degree == 3
         assert res.warnings
+
+    def test_independence_model(self, rng):
+        # 2x2 independence model P^1 x P^1 = V(ad - bc): ML degree 1
+        from charclass import FieldSpec, Ring
+
+        Rp = Ring(("a", "b", "c", "d"), FieldSpec(PRIME))
+        a, b, c, d = Rp.gens()
+        res = ml_degree(Ideal(Rp, [a * d - b * c]), rng=rng)
+        assert (res.ml_degree, res.chi_model, res.chi_cut) == (1, 4, 3)
 
     def test_generic_line(self, rng):
         # ML degree of a generic hyperplane model in P^2 is 2 (= d + d^2 for

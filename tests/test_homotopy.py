@@ -225,6 +225,31 @@ class TestPathAccounting:
         with pytest.raises(NumericBackendError, match="accounted for 3 of 4 paths"):
             residual_degrees_numeric(twisted_cubic, random.Random(0))
 
+    def test_crossed_paths_raise(self, twisted_cubic, monkeypatch):
+        # two paths on one well-conditioned endpoint leave a root unreached:
+        # the level is rerun instead of counted, and fails when it persists
+        import charclass.homotopy as hm
+        from charclass.errors import NumericBackendError
+
+        original = hm.track_paths
+
+        def jumped(starts, hom, cfg):
+            ends = original(starts, hom, cfg)
+            return ends[:-1] + [hm.PathEndpoint(ends[0].point.copy(), ends[0].status)]
+
+        monkeypatch.setattr(hm, "track_paths", jumped)
+        with pytest.raises(NumericBackendError, match="crossed"):
+            residual_degrees_numeric(twisted_cubic, random.Random(0))
+
+    def test_path_jump_on_nodal_jacobian_is_rerun(self, P2, nodal_cubic, caplog):
+        # at this seed two level-2 paths end on the node, a nonsingular
+        # solution of the sliced system, and one residual point went missing
+        caplog.set_level(logging.DEBUG, logger="charclass.homotopy")
+        I = Ideal(P2, jacobian_ideal(nodal_cubic).gens)
+        res = residual_degrees_numeric(I, random.Random(6631014702230872950))
+        assert res.degrees == {2: 3}
+        assert any("paths crossed" in r.getMessage() for r in caplog.records)
+
     def test_persistent_ambiguity_raises(self, twisted_cubic, monkeypatch):
         import charclass.homotopy as hm
         from charclass.errors import NumericBackendError
