@@ -416,12 +416,3 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     else:
         quot = {k: Fraction(c * dg, df * cg) for k, c in quot.items()}
     return Polynomial(ring, quot)
-
-
-def divides_poly(g: Polynomial, f: Polynomial) -> bool:
-    """True when g divides f exactly."""
-    try:
-        exact_divide(f, g)
-        return True
-    except DomainError:
-        return False

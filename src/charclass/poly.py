@@ -77,9 +77,6 @@ class FieldSpec:
             return pow(c, -1, self.p)
         return 1 / c
 
-    def neg(self, c):
-        return -c % self.p if self.p else -c
-
     def uniform(self, rng):
         """Uniform field element for GF(p); a small random integer for Q."""
         if self.p:
@@ -572,6 +569,21 @@ def map_to_ring(f: Polynomial, target: Ring, index: int, exponent=0) -> Polynomi
     for k, c in f._t.items():
         exps = src.unpack(k)
         out[dst.pack(exps[:index] + (exponent,) + exps[index:])] = c
+    return Polynomial(target, out)
+
+
+def change_field(f: Polynomial, target: Ring) -> Polynomial:
+    """f over target's field (same variables); DomainError if p kills a coefficient.
+
+    p kills c when it divides c's numerator (c maps to 0) or denominator.
+    """
+    p = target.field.p
+    coerce = target.field.coerce
+    out = {}
+    for k, c in f._t.items():
+        if p and (c.numerator % p == 0 or c.denominator % p == 0):
+            raise DomainError(f"coefficient {c} of {f} does not map to a unit of GF({p})")
+        out[k] = coerce(c)
     return Polynomial(target, out)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, ParseError
 from .ideals import Ideal
-from .poly import FieldSpec, Polynomial, Ring
+from .poly import FieldSpec, Polynomial, Ring, change_field
 
 _TOKEN = re.compile(
     r"""(?P<ws>[ \t\r]+)
@@ -92,19 +92,15 @@ class ProblemFile:
         return Ring(self.variables, FieldSpec(characteristic))
 
     def ideal(self, characteristic: int) -> Ideal:
-        """The generators over GF(p) (or Q), as a homogeneous Ideal."""
+        """The generators over GF(p) (or Q), as a homogeneous Ideal (see change_field)."""
         if self.affine:
             raise DomainError("affine problems do not define a projective ideal")
         ring = self.ring(characteristic)
-        return Ideal(ring, [_change_field(g, ring) for g in self.generators])
+        return Ideal(ring, [change_field(g, ring) for g in self.generators])
 
     def affine_generators(self, characteristic: int):
         ring = self.ring(characteristic)
-        return [_change_field(g, ring) for g in self.generators], ring
-
-
-def _change_field(f: Polynomial, ring: Ring) -> Polynomial:
-    return ring.from_exp_dict({e: c for e, c in f.terms()})
+        return [change_field(g, ring) for g in self.generators], ring
 
 
 class _Parser:

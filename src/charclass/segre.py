@@ -9,27 +9,26 @@ linear system:
     deg s_p = m^d - deg R_d - sum_{i<p} C(d, p-i) m^(p-i) deg s_i,
     p = d - (n-k).
 
-The symbolic backend counts deg R_d in one of two ways, chosen by the field:
+The symbolic backend counts deg R_d as points: the cuts are restricted to a
+random affine d-plane, which meets R_d in deg R_d points and avoids X, and
+1 - T*g with g a random combination of the generators of I removes the
+points on X.  The count is the number of standard monomials of the
+zero-dimensional Groebner basis in (T, u_1..u_d); the projective-degree
+route of Helmer (arXiv:1402.2930) and Eklund-Jost-Peterson
+(arXiv:1109.5895).  The plane is drawn in graph form: the last d
+coordinates are u_1..u_d and the others random affine forms a + B*u in
+them.  Such graphs fill a dense open cell of the Grassmannian, so the plane
+is still generic, and d of the variables restrict to monomials.  A level
+whose slice has positive dimension is resampled.
 
-  * over GF(p) (sliced route): the cuts are restricted to a random affine
-    d-plane, which meets R_d in deg R_d points and avoids X, and 1 - T*g
-    with g a random combination of the generators of I removes the points
-    on X.  The count is the number of standard monomials of the
-    zero-dimensional Groebner basis in (T, u_1..u_d); the projective-degree
-    route of Helmer (arXiv:1402.2930) and Eklund-Jost-Peterson
-    (arXiv:1109.5895).  The plane is drawn in graph form: the last d
-    coordinates are u_1..u_d and the others random affine forms a + B*u in
-    them.  Such graphs fill a dense open cell of the Grassmannian, so the
-    plane is still generic, and d of the variables restrict to monomials;
-  * over QQ (saturation route): deg R_d is the degree of the saturation
-    (f_1..f_d : I^infinity), whose codimension must be exactly d.  Random
-    rational slices grow coefficients, which keeps slicing slower than
-    saturation over QQ, also with the fraction-free integer Groebner engine.
-
-A level whose slice has positive dimension, or whose saturation has the
-wrong codimension, is resampled.  The numeric backend (homotopy module)
-counts non-solutions of sliced systems instead; both share the output
-format.
+The count always runs over GF(p).  A rational ideal is reduced modulo
+random primes instead, and the first residual degrees two images share are
+returned.  The degrees are small integers that agree over QQ and GF(p) for
+all but finitely many (unlucky) primes (Arnold, "Modular algorithms for
+computing Groebner bases", JSC 2003), so nothing needs to be lifted back;
+random rational slices would only grow coefficients.  The numeric backend
+(homotopy module) counts non-solutions of sliced systems instead; both
+share the output format.
 """
 
 from __future__ import annotations
@@ -42,8 +41,9 @@ from dataclasses import dataclass
 from . import hilbert
 from .errors import DomainError, GenericityError
 from .groebner import buchberger
-from .ideals import Ideal, dimension_and_degree, random_element_of_degree, saturation
-from .poly import Ring, substitute_linear
+from .ideals import Ideal, dimension_and_degree, random_element_of_degree
+from .poly import FieldSpec, Ring, change_field, substitute_linear
+from .primes import random_prime
 
 log = logging.getLogger(__name__)
 
@@ -79,39 +79,17 @@ def residual_degrees_symbolic(
 ) -> ResidualDegrees:
     """Residual degrees of X = V(I), one level per codimension.
 
-    Over GF(p) each deg R_d is a zero-dimensional point count on a random
-    affine d-plane (sliced route); over QQ it is the degree of the saturation
-    (see residual_degrees_saturation).  m defaults to the maximum generator
-    degree and may only be raised.  A level whose cut or slice fails the
+    Each deg R_d is a zero-dimensional point count on a random affine
+    d-plane over GF(p).  Over QQ the counts come from images of I at random
+    primes drawn from rng (see _agreeing_images).  m defaults to the maximum
+    generator degree and may only be raised.  A level whose slice fails the
     dimension check is resampled, at most `retries` times per level.
     """
-    level_degree = _sliced_degree if I.ring.field.p else _saturated_degree
-    return _residual_degrees(I, rng, m, retries, level_degree)
-
-
-def residual_degrees_saturation(
-    I: Ideal, rng=None, m: int | None = None, retries: int = 3
-) -> ResidualDegrees:
-    """Residual degrees by saturation (f_1..f_d : I^infinity) on any field.
-
-    This is the QQ route of residual_degrees_symbolic and the reference the
-    sliced GF(p) route is tested against.  Levels whose saturation is the
-    unit ideal contribute degree 0; otherwise the saturation must have
-    codimension exactly d.
-    """
-    return _residual_degrees(I, rng, m, retries, _saturated_degree)
-
-
-def _residual_degrees(I, rng, m, retries, level_degree):
-    """The level loop shared by both routes.
-
-    level_degree(I, cuts, rng) returns deg R_d for the d = len(cuts) cuts,
-    or None when the random choices were not generic.
-    """
     rng = rng or random.Random()
+    if not I.ring.field.p:
+        return _agreeing_images(I, rng, m, retries)
     n = I.ring.nvars - 1
-    stats = dimension_and_degree(I)
-    k = stats.dim
+    k = dimension_and_degree(I).dim
     if k < 0:
         raise DomainError("residual degrees need a nonempty scheme")
     mmax = I.max_degree() if not I.is_zero else 1
@@ -127,14 +105,12 @@ def _residual_degrees(I, rng, m, retries, level_degree):
             continue
         for attempt in range(retries):
             cuts = [random_element_of_degree(I, m, rng) for _ in range(d)]
-            degree = level_degree(I, cuts, rng)
+            degree = _sliced_degree(I, cuts, rng)
             if degree is not None:
                 degrees[d] = degree
                 break
-            log.debug(
-                "level %d attempt %d: residual is not of codimension %d, resampling",
-                d, attempt, d,
-            )
+            log.debug("level %d attempt %d: slice is not zero-dimensional, resampling",
+                      d, attempt)
         else:
             raise GenericityError(
                 f"residual at level {d} failed the dimension check "
@@ -143,15 +119,32 @@ def _residual_degrees(I, rng, m, retries, level_degree):
     return ResidualDegrees(n, k, m, degrees)
 
 
-def _saturated_degree(I, cuts, rng):
-    """deg (cuts : I^infinity), or None unless its codimension is len(cuts)."""
-    R = saturation(Ideal(I.ring, cuts), I)
-    if R.is_unit:
-        return 0
-    rstats = dimension_and_degree(R)
-    if rstats.dim != I.ring.nvars - 1 - len(cuts):
-        return None
-    return rstats.degree
+def _agreeing_images(I, rng, m, retries):
+    """Residual degrees of a rational ideal from its images modulo random primes.
+
+    A prime that divides a denominator or sends a nonzero coefficient of I
+    to 0 is skipped.  The first result that two images share is returned;
+    an unlucky prime changes its image's result, so three pairwise
+    different results raise GenericityError.
+    """
+    seen = []
+    while len(seen) < 3:
+        p = random_prime(rng)
+        ring = Ring(I.ring.names, FieldSpec(p))
+        try:
+            gens = [change_field(g, ring) for g in I.gens]
+        except DomainError:
+            log.debug("prime %d divides an input coefficient or denominator, skipped", p)
+            continue
+        log.debug("residual degrees modulo the prime %d", p)
+        res = residual_degrees_symbolic(Ideal(ring, gens), rng, m, retries)
+        if res in seen:
+            return res
+        seen.append(res)
+    raise GenericityError(
+        "residual degrees at three random primes all differ: "
+        + ", ".join(str(r.degrees) for r in seen)
+    )
 
 
 def _random_slice(ring: Ring, target: Ring, rng) -> list:

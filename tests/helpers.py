@@ -5,7 +5,8 @@ distinct-point count of two plane curves goes through interpolated Sylvester
 resultants, the smooth-hypersurface class comes from plain integer power
 series arithmetic, and the monomial lcm unpacks exponent tuples.  The
 two-pass Euler characteristic of an open set keeps the rule the library used
-before it shared one inclusion-exclusion pass.
+before it shared one inclusion-exclusion pass.  Residual degrees by iterated
+saturation are the reference for the sliced GF(p) count.
 """
 
 from __future__ import annotations
@@ -13,7 +14,16 @@ from __future__ import annotations
 import math
 import random
 
-from charclass import Ideal, euler_characteristic
+from charclass import (
+    DomainError,
+    GenericityError,
+    Ideal,
+    ResidualDegrees,
+    dimension_and_degree,
+    euler_characteristic,
+    random_element_of_degree,
+    saturation,
+)
 
 PRIME = 2147483647  # 2^31 - 1, inside the CLI's default sampling range
 
@@ -27,6 +37,39 @@ def euler_two_pass(gens, h, rng) -> int:
     ring = h.ring
     closed = euler_characteristic(Ideal(ring, gens), rng=rng)
     return closed - euler_characteristic(Ideal(ring, list(gens) + [h]), rng=rng)
+
+
+def residual_degrees_saturation(I, rng, m=None, retries=3) -> ResidualDegrees:
+    """Residual degrees by saturation (f_1..f_d : I^infinity), on any field.
+
+    The reference for residual_degrees_symbolic.  A level whose saturation
+    is the unit ideal has degree 0; otherwise the saturation must have
+    codimension exactly d, and a level that fails is resampled.
+    """
+    n = I.ring.nvars - 1
+    k = dimension_and_degree(I).dim
+    if k < 0:
+        raise DomainError("residual degrees need a nonempty scheme")
+    if m is None:
+        m = I.max_degree() if not I.is_zero else 1
+    degrees = {}
+    for d in range(n - k, n + 1):
+        if d == 0:
+            degrees[0] = 0
+            continue
+        for _ in range(retries):
+            cuts = [random_element_of_degree(I, m, rng) for _ in range(d)]
+            R = saturation(Ideal(I.ring, cuts), I)
+            if R.is_unit:
+                degrees[d] = 0
+                break
+            stats = dimension_and_degree(R)
+            if stats.dim == n - d:
+                degrees[d] = stats.degree
+                break
+        else:
+            raise GenericityError(f"saturation at level {d} failed the dimension check")
+    return ResidualDegrees(n, k, m, degrees)
 
 
 def lcm_oracle(codec, a: int, b: int) -> int:

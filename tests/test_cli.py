@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ CENSORING = (
 )
 
 FLAGS = {"seed": 11, "fieldp": PRIME}
+PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 
 
 class TestRun:
@@ -150,3 +152,38 @@ class TestMainExitCodes:
     def test_verify_roundtrips(self, capsys):
         assert main(["segre", "--expr", TWISTED, "--seed", "5",
                      "--field", str(PRIME), "--verify"]) == 0
+
+
+class TestFieldChange:
+    CONIC = f"vars x,y,z; gens: {PRIME}*x^2 + y^2 + z^2;"
+
+    def test_coefficient_killed_by_field_exit_3(self, capsys):
+        # over GF(PRIME) the conic would lose its x^2 term
+        assert main(["euler", "--expr", self.CONIC, "--field", str(PRIME), "--seed", "1"]) == 3
+        assert str(PRIME) in capsys.readouterr().err
+
+    def test_same_conic_over_rationals(self, capsys):
+        assert main(["euler", "--expr", self.CONIC, "--field", "0", "--seed", "1"]) == 0
+        assert "euler characteristic: 2" in capsys.readouterr().out
+
+
+# the goldens over QQ give the answers pinned over GF(p)
+RATIONAL_GOLDENS = [
+    pytest.param(("euler", "twisted_cubic.id"), "euler", 2, id="twisted_cubic"),
+    pytest.param(("csm", "nodal_cubic.id"), "csm_degrees", [3, 1], id="nodal_cubic"),
+    pytest.param(("mldeg", "censoring.id"), "ml_degree", 3, id="censoring"),
+    pytest.param(("euler", "segre_p1xp2.id"), "euler", 6, id="segre_p1xp2"),
+    pytest.param(("euler", "hyperbola_affine.id", "--affine"), "euler", 0,
+                 id="hyperbola_affine"),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("args, key, expected", RATIONAL_GOLDENS)
+def test_rational_goldens(capsys, seed, args, key, expected):
+    command, name, *rest = args
+    argv = [command, str(PROBLEMS / name), *rest, "--field", "0", "--seed", str(seed), "--json"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["field"] == 0
+    assert data[key] == expected

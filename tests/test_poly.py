@@ -18,7 +18,7 @@ from charclass import (
     poly_gcd,
     squarefree_part,
 )
-from charclass.poly import _SLOTMAX, _Codec, substitute_linear
+from charclass.poly import _SLOTMAX, _Codec, change_field, substitute_linear
 
 from helpers import PRIME, lcm_oracle, scalar_equal
 
@@ -46,6 +46,22 @@ class TestFieldSpec:
         f = FieldSpec(0)
         assert f.is_rationals
         assert f.coerce(2) == Fraction(2)
+
+
+class TestChangeField:
+    def test_rational_coefficients_map_to_their_residues(self, P2):
+        Q = Ring(P2.names, FieldSpec(0))
+        x, y, z = Q.gens()
+        f = change_field(x * Fraction(1, 2) - y * 3 + z, P2)
+        assert f.coefficient((1, 0, 0)) * 2 % PRIME == 1
+        assert f.coefficient((0, 1, 0)) == PRIME - 3
+
+    @pytest.mark.parametrize("c", [Fraction(PRIME), Fraction(3 * PRIME, 2), Fraction(1, PRIME)])
+    def test_prime_killing_a_coefficient_is_refused(self, P2, c):
+        Q = Ring(P2.names, FieldSpec(0))
+        x, y, z = Q.gens()
+        with pytest.raises(DomainError):
+            change_field(x * c + y, P2)
 
 
 class TestArith:

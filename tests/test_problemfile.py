@@ -2,7 +2,7 @@
 
 import pytest
 
-from charclass import ParseError, parse_problem, parse_expression
+from charclass import DomainError, ParseError, parse_problem, parse_expression
 from charclass.poly import FieldSpec, Ring
 
 from helpers import PRIME
@@ -74,6 +74,28 @@ class TestGrammar:
     def test_duplicate_variables_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_problem("vars x,x; gens: x;")
+
+
+class TestFieldChange:
+    """A coefficient the prime kills is an error, not a silently lost term."""
+
+    def test_coefficient_divisible_by_characteristic(self):
+        pf = parse_problem(f"vars x,y,z; gens: {PRIME}*x^2 + y^2 + z^2;")
+        with pytest.raises(DomainError, match=str(PRIME)):
+            pf.ideal(PRIME)
+        assert len(pf.ideal(0).gens[0]) == 3
+
+    def test_generator_vanishing_entirely(self):
+        pf = parse_problem(f"vars x,y,z; gens: x*y, {2 * PRIME}*z^2;")
+        with pytest.raises(DomainError):
+            pf.ideal(PRIME)
+
+    def test_affine_generators(self):
+        pf = parse_problem(f"vars x,y; affine; gens: x*y - {PRIME};")
+        with pytest.raises(DomainError):
+            pf.affine_generators(PRIME)
+        gens, ring = pf.affine_generators(1000000007)
+        assert len(gens[0]) == 2 and ring.field.p == 1000000007
 
 
 class TestRoundTrip:

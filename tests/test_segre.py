@@ -4,6 +4,7 @@ import itertools
 import logging
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,9 +23,8 @@ from charclass import (
     squarefree_part,
 )
 from charclass import segre
-from charclass.segre import residual_degrees_saturation
 
-from helpers import PRIME
+from helpers import PRIME, residual_degrees_saturation
 
 
 class TestResidualsSymbolic:
@@ -245,16 +245,21 @@ class TestSlicedAgainstSaturation:
                 assert img.total_degree() <= 1
                 assert img.coefficient((1,) + (0,) * d) == 0  # T does not occur
 
-    def test_rationals_use_saturation(self, monkeypatch):
-        # over QQ the sliced route must not run at all
-        def forbidden(*args):
-            raise AssertionError("sliced route used over QQ")
+    def test_rationals_slice_over_prime_fields(self, monkeypatch):
+        # over QQ every level is counted on an image of I over some GF(p)
+        fields = []
+        real = segre._sliced_degree
 
-        monkeypatch.setattr(segre, "_sliced_degree", forbidden)
+        def spy(I, cuts, rng):
+            fields.append(I.ring.field.p)
+            return real(I, cuts, rng)
+
+        monkeypatch.setattr(segre, "_sliced_degree", spy)
         R = Ring(("x", "y", "z", "w"), FieldSpec(0))
         x, y, z, w = R.gens()
         I = Ideal(R, [x * z - y * y, y * w - z * z, x * w - y * z])
         assert residual_degrees_symbolic(I, random.Random(5)).degrees == {2: 1, 3: 0}
+        assert fields and all(fields)
 
 
 class TestResampling:
@@ -308,3 +313,81 @@ class TestResampling:
         assert calls["slice"] == 4
         resamples = [r for r in caplog.records if "resampling" in r.getMessage()]
         assert len(resamples) == 4
+
+
+class TestRationalImages:
+    """Over QQ the residual degrees are those two GF(p) images agree on."""
+
+    PRIMES = (1000000007, 998244353, 1000000009)
+
+    @staticmethod
+    def _twisted_cubic_qq(scale=1):
+        R = Ring(("x", "y", "z", "w"), FieldSpec(0))
+        x, y, z, w = R.gens()
+        return Ideal(R, [(x * z - y * y) * scale, y * w - z * z, x * w - y * z])
+
+    @staticmethod
+    def _spy(monkeypatch, primes, wrong=None):
+        """Feed `primes` to the QQ route; wrong(p, degree) may falsify a count."""
+        queue = list(primes)
+        seen = []
+        real = segre._sliced_degree
+
+        def fake_prime(rng):
+            return queue.pop(0)
+
+        def sliced(I, cuts, rng):
+            p = I.ring.field.p
+            if not seen or seen[-1] != p:
+                seen.append(p)
+            degree = real(I, cuts, rng)
+            return degree if wrong is None else wrong(p, degree)
+
+        monkeypatch.setattr(segre, "random_prime", fake_prime)
+        monkeypatch.setattr(segre, "_sliced_degree", sliced)
+        return seen
+
+    @pytest.mark.parametrize("scale", [PRIME, Fraction(1, PRIME)])
+    def test_prime_dividing_coefficient_or_denominator_is_skipped(
+        self, monkeypatch, caplog, scale
+    ):
+        seen = self._spy(monkeypatch, (PRIME,) + self.PRIMES)
+        I = self._twisted_cubic_qq(scale)
+        with caplog.at_level(logging.DEBUG, logger="charclass.segre"):
+            res = residual_degrees_symbolic(I, random.Random(1))
+        assert res.degrees == {2: 1, 3: 0}
+        assert seen == list(self.PRIMES[:2])
+        assert any(f"prime {PRIME}" in r.getMessage() and "skipped" in r.getMessage()
+                   for r in caplog.records)
+
+    def test_majority_of_three_images(self, monkeypatch):
+        bad = self.PRIMES[0]
+        seen = self._spy(monkeypatch, self.PRIMES,
+                         wrong=lambda p, degree: degree + 1 if p == bad else degree)
+        res = residual_degrees_symbolic(self._twisted_cubic_qq(), random.Random(2))
+        assert res.degrees == {2: 1, 3: 0}
+        assert seen == list(self.PRIMES)
+
+    def test_three_different_images_refused(self, monkeypatch):
+        shift = {p: i for i, p in enumerate(self.PRIMES)}
+        self._spy(monkeypatch, self.PRIMES, wrong=lambda p, degree: degree + shift[p])
+        with pytest.raises(GenericityError, match="three random primes"):
+            residual_degrees_symbolic(self._twisted_cubic_qq(), random.Random(3))
+
+    def test_twisted_cubic_triple_product_jacobian(self):
+        I = self._twisted_cubic_qq()
+        f = I.gens[0] * I.gens[1] * I.gens[2]
+        jac = jacobian_ideal(squarefree_part(f, random.Random(4)))
+        assert residual_degrees_symbolic(jac, random.Random(5)).degrees == {2: 10, 3: 6}
+
+    def test_small_ideals_against_saturation(self):
+        R = Ring(("x", "y", "z"), FieldSpec(0))
+        x, y, z = R.gens()
+        nodal = x**3 + x * x * z - y * y * z
+        cases = [jacobian_ideal(nodal).gens, [x * y, x * z], [x * x, Fraction(1, 3) * x * y]]
+        rng = random.Random(306)
+        for gens in cases:
+            I = Ideal(R, gens)
+            images = residual_degrees_symbolic(I, random.Random(rng.random()))
+            oracle = residual_degrees_saturation(I, random.Random(rng.random()))
+            assert images == oracle, (str(I), images.degrees, oracle.degrees)
