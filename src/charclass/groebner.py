@@ -209,13 +209,23 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     mf = codec.quo(tau, lf) - codec.one
     mg = codec.quo(tau, lg) - codec.one
     p = ring.field.p
+    # the two lead terms cancel, so neither is added
     if p:
-        out = {k + mf: c for k, c in f.monic()._t.items()}
-        for k, c in g.monic()._t.items():
+        ft, gt = f._t, g._t
+        if ft[lf] != 1:
+            inv = pow(ft[lf], -1, p)
+            ft = {k: c * inv % p for k, c in ft.items()}
+        if gt[lg] != 1:
+            inv = pow(gt[lg], -1, p)
+            gt = {k: c * inv % p for k, c in gt.items()}
+        out = {k + mf: c for k, c in ft.items() if k != lf}
+        for k, c in gt.items():
+            if k == lg:
+                continue
             nk = k + mg
             v = out.get(nk)
             if v is None:
-                out[nk] = -c % p
+                out[nk] = p - c
             else:
                 v = (v - c) % p
                 if v:
@@ -228,15 +238,17 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     d = math.gcd(fi[lf], gi[lg])
     sf = gi[lg] // d
     sg = fi[lf] // d
-    out = {k + mf: sf * c for k, c in fi.items()}
+    out = {k + mf: sf * c for k, c in fi.items() if k != lf}
     for k, c in gi.items():
+        if k == lg:
+            continue
         nk = k + mg
         v = out.get(nk, 0) - sg * c
         if v:
             out[nk] = v
         else:
             del out[nk]
-    if type(f.lc()) is not int:
+    if type(f._t[lf]) is not int:
         out = {k: Fraction(c) for k, c in out.items()}
     return Polynomial(ring, out)
 
@@ -254,6 +266,9 @@ def buchberger(polys) -> list:
     codec = ring.codec
     lcm = codec.lcm
     one = codec.one
+    expmask = codec.expmask
+    guard = codec.guard
+    tagshift = codec.tagshift
     p = ring.field.p
 
     basis = []      # Polynomial in `_normalized` form, append-only
@@ -265,37 +280,53 @@ def buchberger(polys) -> list:
     lcms = {}       # (i, j) -> lcm key; pairs absent here are cancelled
 
     def update(h: Polynomial):
-        """Gebauer-Moeller incorporation of a new basis element."""
+        """Gebauer-Moeller incorporation of a new basis element.
+
+        a | b is `codec.divides` inlined: the guard bits of
+        ((a & expmask) | guard) - (b & expmask) all survive, and a's tag is
+        at most b's (key >> tagshift is 0 on a ring without a tag).
+        """
         t = len(basis)
         lmh = h.lm()
         cand = sorted((lcm(lms[i], lmh), i) for i in range(t) if not dead[i])
+        last = len(cand) - 1
         kept = []
+        divisors = []  # (guarded exponent part, tag) of each kept lcm
         for pos, (tau, i) in enumerate(cand):
+            taug = (tau & expmask) | guard
+            taut = tau >> tagshift
             coprime = tau == lms[i] + lmh - one
             if not coprime:
-                rest = cand[pos + 1:]
-                if any(codec.divides(t2, tau) for t2, _ in rest) or any(
-                    codec.divides(t2, tau) for t2, _ in kept
-                ):
+                # a proper divisor has a smaller key, so the only later
+                # candidate that can divide tau is an equal one, next in line
+                if pos < last and cand[pos + 1][0] == tau:
                     continue
-            kept.append((tau, i))
+                te = taug ^ guard
+                if any(((g2 - te) & guard) == guard and t2 <= taut for g2, t2 in divisors):
+                    continue
+                kept.append((tau, i))
+            divisors.append((taug, taut))
         # prune old pairs by the chain criterion
+        lmhg = (lmh & expmask) | guard
+        lmht = lmh >> tagshift
         for (i, j), tau in list(lcms.items()):
             if (
-                codec.divides(lmh, tau)
+                ((lmhg - (tau & expmask)) & guard) == guard
+                and lmht <= tau >> tagshift
                 and lcm(lms[i], lmh) != tau
                 and lcm(lms[j], lmh) != tau
             ):
                 del lcms[(i, j)]
         # register surviving non-coprime new pairs
         for tau, i in kept:
-            if tau != lms[i] + lmh - one:
-                lcms[(i, t)] = tau
-                heapq.heappush(pairheap, (tau, i, t))
+            lcms[(i, t)] = tau
+            heapq.heappush(pairheap, (tau, i, t))
         # retire basis elements whose lead monomial the new one divides
         retired = False
         for i in range(t):
-            if not dead[i] and codec.divides(lmh, lms[i]):
+            lmi = lms[i]
+            if (not dead[i] and ((lmhg - (lmi & expmask)) & guard) == guard
+                    and lmht <= lmi >> tagshift):
                 dead[i] = retired = True
         if retired:
             live[:] = [r for r, d in zip(red, dead) if not d]
@@ -327,7 +358,16 @@ def buchberger(polys) -> list:
 
 
 def interreduce(polys) -> list:
-    """Turn a Groebner generating set into the reduced Groebner basis."""
+    """Turn a Groebner generating set into the reduced Groebner basis.
+
+    The elements are reduced in increasing lead order, each against the
+    already reduced elements before it only.  Every term a reduction of g
+    touches lies below lm(g), and a lead monomial dividing such a term is
+    no larger than it, so the elements with larger leads can never act.
+    Reducing with the reduced forms of the smaller elements instead of the
+    given ones changes nothing: either way the result is g's lead plus a
+    tail with no term divisible by any lead, the unique reduced element.
+    """
     polys = [_normalized(f) for f in polys if f]
     # minimalize: drop elements whose lead monomial another one divides
     polys.sort(key=lambda g: g.lm())
@@ -339,15 +379,18 @@ def interreduce(polys) -> list:
     if not minimal:
         return []
     ring = minimal[0].ring
-    reducers = [_make_reducer(g) for g in minimal]
+    p = ring.field.p
+    reducers = []
     out = []
-    for idx, g in enumerate(minimal):
-        rem = _nf_dict(g._t, reducers[:idx] + reducers[idx + 1:], ring)[0]
-        if ring.field.p:
-            out.append(Polynomial(ring, rem).monic())
+    for g in minimal:
+        rem = _nf_dict(g._t, reducers, ring)[0]
+        if p:
+            # no smaller lead divides lm(g), so its coefficient stays 1
+            out.append(Polynomial(ring, rem))
+            reducers.append(_make_reducer(out[-1]))
         else:
             out.append(_monic_rational(ring, rem))
-    out.sort(key=lambda g: g.lm())
+            reducers.append(_make_reducer(Polynomial(ring, _integral(rem))))
     return out
 
 

@@ -18,8 +18,13 @@ route of Helmer (arXiv:1402.2930) and Eklund-Jost-Peterson
 (arXiv:1109.5895).  The plane is drawn in graph form: the last d
 coordinates are u_1..u_d and the others random affine forms a + B*u in
 them.  Such graphs fill a dense open cell of the Grassmannian, so the plane
-is still generic, and d of the variables restrict to monomials.  A level
-whose slice has positive dimension is resampled.
+is still generic, and d of the variables restrict to monomials.  The cuts
+and g are drawn on the slice, from the restricted generators: restriction
+maps the degree-e forms on k^(n+1) linearly onto the polynomials of degree
+<= e in u, so a uniform form restricts to a uniform polynomial, and a cut
+sum mu_j * (h_j|L) with uniform mu_j of degree <= m - deg h_j has exactly
+the distribution of a random degree-m element of I restricted to the
+plane.  A level whose slice has positive dimension is resampled.
 
 The count always runs over GF(p).  A rational ideal is reduced modulo
 random primes instead, and the first residual degrees two images share are
@@ -41,8 +46,8 @@ from dataclasses import dataclass
 from . import hilbert
 from .errors import DomainError, GenericityError
 from .groebner import buchberger
-from .ideals import Ideal, dimension_and_degree, random_element_of_degree
-from .poly import FieldSpec, Ring, change_field, substitute_linear
+from .ideals import Ideal, dimension_and_degree
+from .poly import FieldSpec, Polynomial, Ring, change_field, substitute_linear
 from .primes import random_prime
 
 log = logging.getLogger(__name__)
@@ -104,8 +109,7 @@ def residual_degrees_symbolic(
             degrees[0] = 0
             continue
         for attempt in range(retries):
-            cuts = [random_element_of_degree(I, m, rng) for _ in range(d)]
-            degree = _sliced_degree(I, cuts, rng)
+            degree = _sliced_degree(I, d, m, rng)
             if degree is not None:
                 degrees[d] = degree
                 break
@@ -169,25 +173,39 @@ def _random_slice(ring: Ring, target: Ring, rng) -> list:
     return images + u
 
 
-def _sliced_degree(I, cuts, rng):
-    """Points of the residual on a random affine d-plane, d = len(cuts).
+def _sliced_degree(I, d, m, rng):
+    """Points of the residual on a random affine d-plane L, cut in degree m.
 
-    Restricts the cuts and g = sum c_i h_i (random nonzero c_i, generators
-    h_i of I) to the plane, adds 1 - T*g to discard the points on X, and
-    counts the standard monomials of the Groebner basis.  None when the
-    basis is not zero-dimensional (the slice was not generic).
+    Restricts the generators h_j of I to the plane once, and draws the d
+    cuts and g = sum c_j h_j (random nonzero c_j) there, from the h_j|L
+    (see _random_cut).  This is the same as drawing them in P^n and
+    restricting: restriction to L maps the forms of degree e onto the
+    polynomials of degree <= e in u_1..u_d, linearly, so a uniform form
+    restricts to a uniform polynomial.  Adds 1 - T*g to discard the points
+    on X and counts the standard monomials of the Groebner basis.  None when
+    the basis is not zero-dimensional (the slice was not generic).
     """
     ring = I.ring
     field = ring.field
-    d = len(cuts)
     target = Ring(("T",) + tuple(f"u{i}" for i in range(1, d + 1)), field)
     images = _random_slice(ring, target, rng)
-    g = ring.zero()
+    restricted = substitute_linear(I.gens, images)
+    # the monomials of mu_j, the u-monomials of degree <= m - deg h_j, are
+    # the degree-e monomials of (T, u) with T's exponent dropped
+    pack = target.codec.pack
+    by_degree = {}
+    supports = []
     for h in I.gens:
-        g = g + h * field.uniform_nonzero(rng)
-    *restricted, g_slice = substitute_linear(cuts + [g], images)
+        e = m - h.total_degree()
+        if e not in by_degree:
+            by_degree[e] = [pack((0,) + ex[1:]) for ex in target.monomials_of_degree(e)]
+        supports.append(by_degree[e])
+    cuts = [_random_cut(target, restricted, supports, rng) for _ in range(d)]
+    const = target.codec.one
+    g_slice = _combination(target, restricted,
+                           [{const: field.uniform_nonzero(rng)} for _ in restricted])
     rabinowitsch = target.one() - target.var(0) * g_slice
-    basis = buchberger(restricted + [rabinowitsch])
+    basis = buchberger(cuts + [rabinowitsch])
     if basis[0].is_constant():
         return 0
     unpack = target.codec.unpack
@@ -195,6 +213,36 @@ def _sliced_degree(I, cuts, rng):
         [unpack(b.lm()) for b in basis], target.nvars
     )
     return count if dim_krull == 0 else None
+
+
+def _random_cut(target, restricted, supports, rng):
+    """A random element sum_j mu_j * (h_j|L) of I restricted to the slice.
+
+    supports[j] holds the packed keys of the monomials of mu_j, and each gets a
+    uniform coefficient: mu_j is a uniform polynomial of degree
+    <= m - deg h_j in u_1..u_d, a scalar when deg h_j = m.
+    """
+    uniform = target.field.uniform
+    return _combination(target, restricted,
+                        [{k: uniform(rng) for k in keys} for keys in supports])
+
+
+def _combination(target, polys, multipliers):
+    """sum_j multipliers[j] * polys[j] over GF(p), multipliers as {key: coeff}."""
+    p = target.field.p
+    one = target.codec.one
+    acc = {}
+    for f, mu in zip(polys, multipliers):
+        terms = f._t.items()
+        for mk, mc in mu.items():
+            if not mc:
+                continue
+            shift = mk - one
+            for k, c in terms:
+                k += shift
+                v = acc.get(k)
+                acc[k] = mc * c if v is None else v + mc * c
+    return Polynomial(target, {k: r for k, v in acc.items() if (r := v % p)})
 
 
 def segre_from_residuals(R: ResidualDegrees) -> SegreDegrees:

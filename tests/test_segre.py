@@ -23,6 +23,7 @@ from charclass import (
     squarefree_part,
 )
 from charclass import segre
+from charclass.groebner import buchberger, normal_form
 
 from helpers import PRIME, residual_degrees_saturation
 
@@ -250,9 +251,9 @@ class TestSlicedAgainstSaturation:
         fields = []
         real = segre._sliced_degree
 
-        def spy(I, cuts, rng):
+        def spy(I, d, m, rng):
             fields.append(I.ring.field.p)
-            return real(I, cuts, rng)
+            return real(I, d, m, rng)
 
         monkeypatch.setattr(segre, "_sliced_degree", spy)
         R = Ring(("x", "y", "z", "w"), FieldSpec(0))
@@ -268,19 +269,22 @@ class TestResampling:
     @staticmethod
     def _line_setup(monkeypatch, degenerate_attempts):
         # X = V(x) in P^2 cut by x*y: the residual at level 1 is the line
-        # y = 0.  The slice x = 1, y = 0, z = u lies inside it and off X,
-        # so the sliced ideal (0, 1 - T*g(1, 0, u)) has Krull dimension 1.
-        # The first `degenerate_attempts` level-1 attempts (one cut each)
-        # get this cut and slice; later ones are random.
+        # y = 0.  The slice x = 1, y = 0, z = u lies inside it and off X, and
+        # the cut x*y is 0 on it, so the sliced ideal (0, 1 - T*g(1, 0, u))
+        # has Krull dimension 1.  The first `degenerate_attempts` level-1
+        # attempts (one cut each) get this slice and the cut x*y restricted
+        # to it; later ones are random.
         P2 = Ring(("x", "y", "z"), FieldSpec(PRIME))
-        x, y, z = P2.gens()
-        real_cut = segre.random_element_of_degree
+        x = P2.var(0)
+        real_cut = segre._random_cut
         real_slice = segre._random_slice
         calls = {"cut": 0, "slice": 0}
 
-        def cut(I, m, rng):
+        def cut(target, restricted, supports, rng):
             calls["cut"] += 1
-            return x * y if calls["cut"] <= degenerate_attempts else real_cut(I, m, rng)
+            if calls["cut"] <= degenerate_attempts:
+                return target.zero()  # x*y at x = 1, y = 0
+            return real_cut(target, restricted, supports, rng)
 
         def fake_slice(ring, target, rng):
             calls["slice"] += 1
@@ -288,7 +292,7 @@ class TestResampling:
                 return [target.one(), target.zero(), target.var(1)]
             return real_slice(ring, target, rng)
 
-        monkeypatch.setattr(segre, "random_element_of_degree", cut)
+        monkeypatch.setattr(segre, "_random_cut", cut)
         monkeypatch.setattr(segre, "_random_slice", fake_slice)
         return Ideal(P2, [x]), calls
 
@@ -315,6 +319,36 @@ class TestResampling:
         assert len(resamples) == 4
 
 
+class TestCutsOnTheSlice:
+    """The cuts are random elements of I restricted to the slice, of degree <= m."""
+
+    def test_cuts_lie_in_the_restricted_ideal(self, P3, monkeypatch):
+        x, y, z, w = P3.gens()
+        # m above the top generator degree makes the multipliers mu_j
+        # polynomials in u, not scalars; a cut then reaches degree m
+        cases = [([x, y * y, z**3], 4), ([x * z - y * y, y * w * w - z**3], 4),
+                 ([x * z - y * y, y * w - z * z, x * w - y * z], 3)]
+        drawn = []
+        real = segre._random_cut
+
+        def spy(target, restricted, supports, rng):
+            cut = real(target, restricted, supports, rng)
+            drawn.append((restricted, cut))
+            return cut
+
+        monkeypatch.setattr(segre, "_random_cut", spy)
+        rng = random.Random(307)
+        for gens, m in cases:
+            drawn.clear()
+            residual_degrees_symbolic(Ideal(P3, gens), rng, m=m)
+            assert drawn
+            for restricted, cut in drawn:
+                assert not normal_form(cut, buchberger(restricted))
+                assert all(exps[0] == 0 for exps, _ in cut.terms())  # T does not occur
+                assert cut.total_degree() <= m
+            assert max(cut.total_degree() for _, cut in drawn) == m, (gens, m)
+
+
 class TestRationalImages:
     """Over QQ the residual degrees are those two GF(p) images agree on."""
 
@@ -336,11 +370,11 @@ class TestRationalImages:
         def fake_prime(rng):
             return queue.pop(0)
 
-        def sliced(I, cuts, rng):
+        def sliced(I, d, m, rng):
             p = I.ring.field.p
             if not seen or seen[-1] != p:
                 seen.append(p)
-            degree = real(I, cuts, rng)
+            degree = real(I, d, m, rng)
             return degree if wrong is None else wrong(p, degree)
 
         monkeypatch.setattr(segre, "random_prime", fake_prime)
