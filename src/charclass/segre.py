@@ -191,15 +191,12 @@ def _sliced_degree(I, d, m, rng):
     images = _random_slice(ring, target, rng)
     restricted = substitute_linear(I.gens, images)
     # the monomials of mu_j, the u-monomials of degree <= m - deg h_j, are
-    # the degree-e monomials of (T, u) with T's exponent dropped
+    # the monomials of (T, u) of degree m - deg h_j with T's exponent dropped
     pack = target.codec.pack
-    by_degree = {}
-    supports = []
-    for h in I.gens:
-        e = m - h.total_degree()
-        if e not in by_degree:
-            by_degree[e] = [pack((0,) + ex[1:]) for ex in target.monomials_of_degree(e)]
-        supports.append(by_degree[e])
+    supports = [
+        [pack((0,) + ex[1:]) for ex in target.monomials_of_degree(m - h.total_degree())]
+        for h in I.gens
+    ]
     cuts = [_random_cut(target, restricted, supports, rng) for _ in range(d)]
     const = target.codec.one
     g_slice = _combination(target, restricted,
