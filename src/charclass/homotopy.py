@@ -27,23 +27,41 @@ left one unreached: the level is an error too, logged as `crossed`.
 
 No information flows between levels (no cascade reuse): each level gets
 fresh random data.
+
+numpy is loaded on the first numeric call, not at import, so a symbolic run
+never executes it.
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import itertools
 import logging
 import random
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, NumericBackendError
 from .ideals import Ideal, dimension_and_degree
 from .segre import ResidualDegrees
 
 log = logging.getLogger(__name__)
+
+
+def _lazy_numpy():
+    """numpy as a module that executes on its first attribute access."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 
 @dataclass(frozen=True)

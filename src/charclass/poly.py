@@ -447,14 +447,13 @@ class Polynomial:
         if not self._t:
             return self
         c = self.lc()
-        f = self.ring.field
-        if f.p:
-            if c == 1:
-                return self
-            return self * f.inv(c)
         if c == 1:
             return self
-        return self * (1 / c)
+        p = self.ring.field.p
+        if p:
+            inv = pow(c, -1, p)
+            return Polynomial(self.ring, {k: v * inv % p for k, v in self._t.items()})
+        return Polynomial(self.ring, {k: v / c for k, v in self._t.items()})
 
     # -- calculus and substitution -------------------------------------------
 

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths: the
 distinct-point count of two plane curves goes through interpolated Sylvester
-resultants, the smooth-hypersurface class comes from plain integer power
-series arithmetic, and the monomial lcm unpacks exponent tuples.  The
+resultants, the smooth-hypersurface class and the Euler characteristic of a
+smooth complete intersection come from plain integer power series
+arithmetic, and the monomial lcm unpacks exponent tuples.  The
 two-pass Euler characteristic of an open set keeps the rule the library used
 before it shared one inclusion-exclusion pass.  Residual degrees by iterated
 saturation are the reference for the sliced GF(p) count.
@@ -11,8 +12,13 @@ saturation are the reference for the sliced GF(p) count.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from charclass import (
     DomainError,
@@ -26,6 +32,22 @@ from charclass import (
 )
 
 PRIME = 2147483647  # 2^31 - 1, inside the CLI's default sampling range
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_fresh(script: str, *args: str):
+    """Run `script` in a new interpreter from the repo root; its last stdout line as JSON.
+
+    For checks on what a process imports, which an earlier test in this
+    process may already have imported.
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def euler_two_pass(gens, h, rng) -> int:
@@ -112,6 +134,21 @@ def smooth_hypersurface_pushforward(n: int, m: int):
         v = num[j] - (m * out[j - 1] if j else 0)
         out.append(v)
     return tuple(out)
+
+
+def complete_intersection_euler(n: int, degrees) -> int:
+    """chi of a smooth complete intersection of the given degrees in P^n.
+
+    The coefficient of H^n in (1+H)^(n+1) * prod d H / (1 + d H), by integer
+    series arithmetic truncated above H^n.
+    """
+    series = [math.comb(n + 1, j) for j in range(n + 1)]
+    for d in degrees:
+        shifted = [0] + [d * c for c in series[:n]]  # times d H
+        series = []
+        for j in range(n + 1):  # divided by 1 + d H
+            series.append(shifted[j] - (d * series[j - 1] if j else 0))
+    return series[n]
 
 
 # -- distinct points of two plane curves via resultants -------------------------

@@ -8,7 +8,9 @@ import pytest
 from charclass import (
     ClassExpr,
     DomainError,
+    FieldSpec,
     Ideal,
+    Ring,
     SegreProfile,
     affine_euler,
     csm_degrees_from_segre,
@@ -26,6 +28,7 @@ from charclass.csm import _open_class
 
 from helpers import (
     PRIME,
+    complete_intersection_euler,
     count_distinct_plane_points,
     euler_two_pass,
     smooth_hypersurface_pushforward,
@@ -173,6 +176,26 @@ class TestSubschemes:
             st = dimension_and_degree(I)
             n = I.ring.nvars - 1
             assert res.pushforward.coeffs[n - st.dim] == st.degree
+
+
+class TestCompleteIntersections:
+    def test_oracle_by_hand(self):
+        assert complete_intersection_euler(3, (2, 2)) == 0  # elliptic quartic curve
+        assert complete_intersection_euler(3, (2, 3)) == -6  # canonical genus-4 curve
+        assert complete_intersection_euler(4, (2, 2)) == 8  # quartic del Pezzo surface
+
+    # (2,2,2) in P^4, a genus-5 curve, is left out: about 2 s per solve
+    CASES = [(3, (2, 2)), (3, (2, 3)), (3, (1, 3)), (4, (2, 2)), (4, (1, 1, 2))]
+
+    @pytest.mark.parametrize(
+        "n, degrees", CASES, ids=[f"P{n}-{'.'.join(map(str, ds))}" for n, ds in CASES]
+    )
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_forms_match_the_chern_class_formula(self, n, degrees, seed):
+        R = Ring(tuple(f"x{i}" for i in range(n + 1)), FieldSpec(PRIME))
+        rng = random.Random(seed)
+        I = Ideal(R, [R.random_form(d, rng) for d in degrees])
+        assert euler_characteristic(I, rng=rng) == complete_intersection_euler(n, degrees)
 
 
 class TestInclusionExclusion:

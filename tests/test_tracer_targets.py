@@ -14,7 +14,7 @@ import pytest
 
 import charclass.cli
 
-from helpers import PRIME
+from helpers import PRIME, run_fresh
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -48,3 +48,29 @@ def test_engine_entry_points_see_a_symbolic_run(capsys):
     for name in ("groebner.buchberger", "groebner.s_polynomial", "groebner.interreduce",
                  "hilbert.dimension_degree", "segre.residual_degrees_symbolic"):
         assert calls.get(name, 0) > 0, name
+
+
+TRACED_RUN = r"""
+import contextlib, importlib.util, io, json, sys
+import charclass.cli
+
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+argv = ["euler", "demos/problems/twisted_cubic.id", "--field", "2147483647", "--seed", "1"]
+with tracer.Tracer() as t, contextlib.redirect_stdout(io.StringIO()):
+    code = charclass.cli.main(argv)
+calls = tracer.summarize(t.spans, t.counters)["calls"]
+print(json.dumps({"code": code, "buchberger": calls.get("groebner.buchberger", 0),
+                  "numpy": sorted(m for m in sys.modules if m.startswith("numpy."))}))
+"""
+
+
+def test_tracer_installs_on_the_symbolic_import_graph():
+    # the tracer looks its targets up in sys.modules, charclass.homotopy
+    # among them; a process that imports only charclass.cli must still
+    # resolve every target without executing numpy
+    out = run_fresh(TRACED_RUN, str(TRACER))
+    assert out["code"] == 0
+    assert out["buchberger"] > 0
+    assert out["numpy"] == []
