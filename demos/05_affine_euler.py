@@ -1,8 +1,8 @@
 """Euler characteristics of affine schemes.
 
-chi of an affine scheme is the chi of the open set V(homogenization) minus
-the hyperplane at infinity, one inclusion-exclusion over generator products
-times x_0, so the projective machinery covers the affine world for free.
+chi of an affine scheme is the chi of its projective closure minus the chi
+of the closure's section by the hyperplane x_0 = 0 at infinity, so the
+projective machinery covers the affine world for free.
 """
 
 import random

@@ -209,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_intermixed_args(argv)
     try:
         if args.expr is not None:
             text = args.expr

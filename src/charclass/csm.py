@@ -14,12 +14,16 @@ The pipeline for a hypersurface V(f) in P^n:
 The same degrees also come straight from the s~_i by an explicit double
 sum (csm_degrees_from_segre); the hypersurface routine cross-checks both.
 
-Everything else is one inclusion-exclusion over an open set (Aluffi),
-c_SM(1_{V(G) \\ V(h)}) = sum_{S subset G} (-1)^|S| (c(P^n) - c_SM(V(h f_S)))
-with f_S the product of S: h = 1 gives V(G), h = x_0 its affine part, and
-h = p_0 * ... * p_n * (p_0 + ... + p_n) the open model U of an ML degree,
-(-1)^dim chi(U) (Huh).  A pushforward's top coefficient is the Euler
-characteristic.
+A subscheme V(G) is one inclusion-exclusion over generator products
+(Aluffi): 1_{V(G)} = sum_{S nonempty} (-1)^(|S|+1) 1_{V(f_S)} with f_S the
+product of S.  A pushforward's top coefficient is the Euler characteristic.
+
+An open set cut out by linear forms L = (l_1..l_k) needs no product
+hypersurface: 1_{X \\ (H_1 u ... u H_k)} = sum_{T subset L} (-1)^|T| 1_{X cap H_T},
+exact for any forms, and each X cap H_T is restricted to the P^m that H_T
+is, a smaller scheme in a smaller space.  L = [x_0] gives the affine part
+of a closure; L = p_0..p_n and p_0 + ... + p_n give the open model U of an
+ML degree, (-1)^dim chi(U) (Huh).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, ResourceError
 from .ideals import Ideal, dimension_and_degree, jacobian_ideal
-from .poly import Polynomial, homogenize, insert_variable
+from .poly import Polynomial, Ring, homogenize, insert_variable, substitute_linear
 from .segre import SegreDegrees, segre_degrees
 from .squarefree import squarefree_part
 
@@ -255,12 +259,19 @@ def csm_hypersurface(
     return CsmResult(push, degrees, push.coeffs[n], n - 1)
 
 
-def _open_class(gens, h: Polynomial, backend, rng, cfg) -> ClassExpr:
-    """Pushforward of c_SM(1_{V(gens) \\ V(h)}): the module's sum over the
-    subsets of gens, size-major.  V(constant) is empty, so h = 1 costs
-    2^s - 1 hypersurfaces and any other h 2^s.
+def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None, cfg=None) -> CsmResult:
+    """CSM class data of V(I) by inclusion-exclusion over generator products.
+
+    Costs 2^s - 1 hypersurface computations for s generators, one per
+    nonempty subset, taken size-major.  The zero ideal gives c_SM(P^n); the
+    unit ideal is a domain error (empty scheme).  The top-dimensional CSM
+    degree (the degree of the reduced top-dimensional part) must lie between
+    1 and the Hilbert degree; anything else is an internal error.
     """
-    n = h.ring.nvars - 1
+    stats = dimension_and_degree(I)
+    if stats.dim < 0:
+        raise DomainError("empty scheme: CSM classes are not defined")
+    gens = I.gens
     s = len(gens)
     if s > MAX_GENERATORS:
         raise ResourceError(
@@ -269,34 +280,78 @@ def _open_class(gens, h: Polynomial, backend, rng, cfg) -> ClassExpr:
         )
     if s > 10:
         log.warning("inclusion-exclusion over %d generators: 2^%d terms", s, s)
-    ambient = hyperplane_power(n, 0, n + 1)
-    tail = () if h.is_constant() else (h,)
-    total = ClassExpr.zero(n)
-    for size in range(s + 1):
-        for subset in itertools.combinations(gens, size):
-            factors = subset + tail
-            term = ambient
-            if factors:
-                prod = functools.reduce(operator.mul, factors)
-                term = term - csm_hypersurface(prod, backend=backend, rng=rng, cfg=cfg).pushforward
-            total = total + (-1) ** size * term
-    return total
-
-
-def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None, cfg=None) -> CsmResult:
-    """CSM class data of V(I) by inclusion-exclusion over generator products.
-
-    Costs 2^s - 1 hypersurface computations for s generators, one per
-    nonempty subset.  The zero ideal gives c_SM(P^n); the unit ideal is a
-    domain error (empty scheme).
-    """
-    stats = dimension_and_degree(I)
-    if stats.dim < 0:
-        raise DomainError("empty scheme: CSM classes are not defined")
-    total = _open_class(I.gens, I.ring.one(), backend, rng or random.Random(), cfg)
+    rng = rng or random.Random()
     n, dim = I.ring.nvars - 1, stats.dim
+    total = hyperplane_power(n, 0, n + 1) if not gens else ClassExpr.zero(n)
+    for size in range(1, s + 1):
+        for subset in itertools.combinations(gens, size):
+            prod = functools.reduce(operator.mul, subset)
+            push = csm_hypersurface(prod, backend=backend, rng=rng, cfg=cfg).pushforward
+            total = total + push * (-1) ** (size + 1)
     degrees = tuple(total.coeffs[n - dim + p] for p in range(dim + 1))
+    if not 1 <= degrees[0] <= stats.degree:
+        raise DomainError(
+            f"internal cross-check failed: top-dimensional CSM degree {degrees[0]} "
+            f"outside [1, {stats.degree}] (Hilbert degree)"
+        )
     return CsmResult(total, degrees, total.coeffs[n], dim)
+
+
+def _section_euler(I: Ideal, forms, backend, rng, cfg) -> int:
+    """chi(V(I) cap V(forms)) for linear forms: V(forms) is a P^m.
+
+    Row-reduces the forms; each pivot variable becomes minus its row in the
+    free variables, which are the coordinates of the P^m.
+    """
+    ring = I.ring
+    field = ring.field
+    nv = ring.nvars
+    units = [tuple(int(i == j) for i in range(nv)) for j in range(nv)]
+    rows = [[form.coefficient(e) for e in units] for form in forms]
+    pivots = []
+    for col in range(nv):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = field.inv(rows[r][col])
+        rows[r] = [field.coerce(c * inv) for c in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                c = row[col]
+                rows[i] = [field.coerce(a - c * b) for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    if len(pivots) == nv:
+        return 0  # the forms cut out the empty set
+    free = [j for j in range(nv) if j not in pivots]
+    sub = Ring(tuple(ring.names[j] for j in free), field)
+    ys = sub.gens()
+    images = [None] * nv
+    for j, y in zip(free, ys):
+        images[j] = y
+    for row, col in zip(rows, pivots):
+        images[col] = -sum((y * row[j] for j, y in zip(free, ys)), sub.zero())
+    gens = [g for g in substitute_linear(I.gens, images) if not g.is_zero()]
+    if not gens:
+        return len(free)  # chi(P^m) = m + 1
+    J = Ideal(sub, gens)
+    if dimension_and_degree(J).dim < 0:
+        return 0
+    return csm_subscheme(J, backend=backend, rng=rng, cfg=cfg).euler
+
+
+def _euler_off_hyperplanes(I: Ideal, forms, chi_closed: int, backend, rng, cfg) -> int:
+    """chi(V(I) minus the union of the hyperplanes V(l), l in forms).
+
+    The identity 1_{X \\ union H_l} = sum_{T subset forms} (-1)^|T| 1_{X cap H_T}
+    needs no genericity; chi_closed = chi(X) is the T = {} term.
+    """
+    total = chi_closed
+    for size in range(1, len(forms) + 1):
+        for subset in itertools.combinations(forms, size):
+            total += (-1) ** size * _section_euler(I, subset, backend, rng, cfg)
+    return total
 
 
 def euler_characteristic(I: Ideal, backend: str = "symbolic", rng=None, cfg=None) -> int:
@@ -314,12 +369,13 @@ def affine_euler(
 ) -> int:
     """Euler characteristic of an affine scheme V(gens) in A^n.
 
-    Homogenizes every generator with a fresh leading variable x_0 and returns
-    chi(V(homogenized gens) \\ V(x_0)), the open set that is the affine
-    scheme; schemes with no points at infinity need no special case.  With
-    `homvar` naming a variable of an already homogeneous input, that
-    variable plays x_0 instead and no new variable is added.  An empty
-    projective closure is a domain error.
+    Homogenizes every generator with a fresh leading variable x_0; the
+    affine scheme is the closure X minus the hyperplane x_0 = 0, so its
+    Euler characteristic is chi(X) - chi(X cap V(x_0)), the second term
+    computed in the P^(n-1) at infinity.  Schemes with no points at infinity
+    need no special case.  With `homvar` naming a variable of an already
+    homogeneous input, that variable plays x_0 instead and no new variable
+    is added.  An empty projective closure is a domain error.
     """
     gens = list(gens)
     if ring is None:
@@ -340,8 +396,9 @@ def affine_euler(
     closure = Ideal(hring, hgens)
     if dimension_and_degree(closure).dim < 0:
         raise DomainError("empty scheme: the projective closure is empty")
-    total = _open_class(closure.gens, hv, backend, rng or random.Random(), cfg)
-    return total.coeffs[-1]
+    rng = rng or random.Random()
+    chi = csm_subscheme(closure, backend=backend, rng=rng, cfg=cfg).euler
+    return _euler_off_hyperplanes(closure, [hv], chi, backend, rng, cfg)
 
 
 def _fresh_name(names):
@@ -365,20 +422,19 @@ def ml_degree(I: Ideal, backend: str = "symbolic", rng=None, cfg=None) -> MlResu
     """Maximum likelihood degree of the model X = V(I) in probability
     coordinates p_0..p_n.
 
-    With g = p_0 * ... * p_n * (p_0 + ... + p_n) and U = X \\ V(g), returns
-    (-1)^{dim X} chi(U) (Huh), where chi(U) comes from one inclusion-exclusion
-    over the open set and chi(cut) = chi(X) - chi(U) is reported beside it.
-    Assumes U is dense in X and smooth (surfaced in the warnings, not
-    checked).
+    U = X \\ V(g) with g = p_0 * ... * p_n * (p_0 + ... + p_n) is X minus
+    n+2 hyperplanes, and the answer is (-1)^{dim X} chi(U) (Huh).  chi(U) is
+    the sum over the subsets T of those hyperplanes of (-1)^|T| chi(X cap
+    H_T), each section a smaller scheme in a smaller projective space; the
+    T = {} term reuses chi(X).  chi(cut) = chi(X) - chi(U) is reported
+    beside it.  Assumes U is dense in X and smooth (surfaced in the
+    warnings, not checked).
     """
     rng = rng or random.Random()
     ring = I.ring
-    g = ring.one()
-    for j in range(ring.nvars):
-        g = g * ring.var(j)
-    g = g * sum(ring.gens(), ring.zero())
+    forms = ring.gens() + [sum(ring.gens(), ring.zero())]
     model = csm_subscheme(I, backend=backend, rng=rng, cfg=cfg)
-    chi_u = _open_class(I.gens, g, backend, rng, cfg).coeffs[-1]
+    chi_u = _euler_off_hyperplanes(I, forms, model.euler, backend, rng, cfg)
     warnings = ["assumes U = X \\ V(g) is smooth, very affine and dense in X"]
     if chi_u == 0:
         warnings.append("chi(U) = 0: U may be empty or the model degenerate")

@@ -6,14 +6,21 @@ resultants, the smooth-hypersurface class and the Euler characteristic of a
 smooth complete intersection come from plain integer power series
 arithmetic, and the monomial lcm unpacks exponent tuples.  The
 two-pass Euler characteristic of an open set keeps the rule the library used
-before it shared one inclusion-exclusion pass.  Residual degrees by iterated
-saturation are the reference for the sliced GF(p) count.
+before it shared one inclusion-exclusion pass, and the product route puts
+the removed hypersurface into every generator product, as the library did
+before it cut open sets by hyperplane sections.  The ML degree from the
+likelihood equations uses neither inclusion-exclusion nor Euler
+characteristics.  Residual degrees by iterated saturation are the reference
+for the sliced GF(p) count.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -25,8 +32,10 @@ from charclass import (
     GenericityError,
     Ideal,
     ResidualDegrees,
+    csm_hypersurface,
     dimension_and_degree,
     euler_characteristic,
+    jacobian_ideal,
     random_element_of_degree,
     saturation,
 )
@@ -59,6 +68,51 @@ def euler_two_pass(gens, h, rng) -> int:
     ring = h.ring
     closed = euler_characteristic(Ideal(ring, gens), rng=rng)
     return closed - euler_characteristic(Ideal(ring, list(gens) + [h]), rng=rng)
+
+
+def euler_open_product(gens, h, rng) -> int:
+    """chi(V(gens) minus V(h)) with h in every generator product.
+
+    sum_{S subset gens} (-1)^|S| (chi(P^n) - chi(V(h f_S))), one
+    hypersurface per subset, f_S the product of S: the reference for the
+    hyperplane-section sum, whose h is a product of linear forms.
+    """
+    n = h.ring.nvars - 1
+    total = 0
+    for size in range(len(gens) + 1):
+        for subset in itertools.combinations(gens, size):
+            prod = functools.reduce(operator.mul, subset, h)
+            total += (-1) ** size * (n + 1 - csm_hypersurface(prod, rng=rng).euler)
+    return total
+
+
+def ml_degree_likelihood(f, rng) -> int:
+    """ML degree of the hypersurface model V(f) from the likelihood equations.
+
+    For random data u, the critical points of sum u_i log p_i - u_+ log p_+
+    on V(f) are where the rows (u_i), (p_i df/dp_i) and (p_i) have rank 2
+    (Catanese-Hosten-Khetan-Sturmfels): f and the 3x3 minors, saturated by
+    p_0 * ... * p_n * (p_0 + ... + p_n) and by the Jacobian ideal (the
+    singular locus).  The degree of what is left counts them.
+    """
+    ring = f.ring
+    p = ring.gens()
+    u = [ring.field.uniform_nonzero(rng) for _ in p]
+    scaled = [v * f.partial(i) for i, v in enumerate(p)]
+    minors = [
+        u[a] * (scaled[b] * p[c] - scaled[c] * p[b])
+        - u[b] * (scaled[a] * p[c] - scaled[c] * p[a])
+        + u[c] * (scaled[a] * p[b] - scaled[b] * p[a])
+        for a, b, c in itertools.combinations(range(len(p)), 3)
+    ]
+    g = functools.reduce(operator.mul, p) * sum(p, ring.zero())
+    crit = saturation(Ideal(ring, [f] + minors), Ideal(ring, [g]))
+    crit = saturation(crit, jacobian_ideal(f))
+    stats = dimension_and_degree(crit)
+    if stats.dim < 0:
+        return 0
+    assert stats.dim == 0, f"critical locus of dimension {stats.dim}"
+    return stats.degree
 
 
 def residual_degrees_saturation(I, rng, m=None, retries=3) -> ResidualDegrees:

@@ -125,6 +125,14 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["exit_code"] == 6 and err["category"] == "resource"
 
+    @pytest.mark.parametrize("argv", [
+        ["euler", "--affine", str(PROBLEMS / "hyperbola_affine.id")],
+        ["euler", str(PROBLEMS / "hyperbola_affine.id"), "--affine"],
+    ], ids=["flag-first", "file-first"])
+    def test_flags_before_or_after_the_file(self, capsys, argv):
+        assert main(argv + ["--seed", "1", "--field", str(PRIME)]) == 0
+        assert "euler characteristic: 0" in capsys.readouterr().out
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["euler", "/nonexistent/file.id"]) == 2
 
@@ -187,3 +195,14 @@ def test_rational_goldens(capsys, seed, args, key, expected):
     data = json.loads(capsys.readouterr().out)
     assert data["field"] == 0
     assert data[key] == expected
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_numeric_mldeg_censoring(capsys, seed):
+    # the open set is cut by hyperplane sections, so the numeric backend
+    # only tracks paths on cubic curves, never on a degree-8 product surface
+    argv = ["mldeg", str(PROBLEMS / "censoring.id"), "--backend", "numeric",
+            "--field", str(PRIME), "--seed", str(seed), "--json"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["ml_degree"], data["chi_X"], data["chi_cut"]) == (3, 5, 2)

@@ -24,13 +24,16 @@ from charclass import (
     shadow_from_segre,
 )
 
-from charclass.csm import _open_class
+import charclass.csm as csm
+from charclass.csm import _euler_off_hyperplanes, _section_euler
 
 from helpers import (
     PRIME,
     complete_intersection_euler,
     count_distinct_plane_points,
+    euler_open_product,
     euler_two_pass,
+    ml_degree_likelihood,
     smooth_hypersurface_pushforward,
 )
 
@@ -218,30 +221,101 @@ class TestInclusionExclusion:
             done += 1
 
 
-def _open_euler(gens, h, rng):
-    return _open_class(tuple(gens), h, "symbolic", rng, None).coefficient(h.ring.nvars - 1)
-
-
 class TestOpenSet:
-    """chi(V(G) minus V(h)) from one pass against the two-pass oracle."""
+    """chi(V(G) minus V(h)) with h in every product against the two-pass oracle."""
 
     def test_plane_curve_pairs(self, P2, rng):
         for _ in range(30):
             f = P2.random_form(rng.randrange(1, 4), rng)
             h = P2.random_form(rng.randrange(1, 4), rng)
-            assert _open_euler([f], h, rng) == euler_two_pass([f], h, rng), (str(f), str(h))
+            assert euler_open_product([f], h, rng) == euler_two_pass([f], h, rng), (str(f), str(h))
 
     def test_p3_cases(self, P3, twisted_cubic, rng):
-        x, y, z, w = P3.gens()
-        cases = [
-            (twisted_cubic.gens, x + 2 * y + 3 * z + 5 * w, -1),  # P^1 minus 3 points
-            (twisted_cubic.gens, x, 1),  # x = 0 meets the curve at one point
-            ([x * w - y * z], x, 1),  # quadric minus two lines
-            ([x, y], z * w, 0),  # line minus two points
-            ([x * y], z + w, 1),  # two planes minus two lines through a point
-        ]
-        for gens, h, chi in cases:
-            assert _open_euler(gens, h, rng) == euler_two_pass(gens, h, rng) == chi, (gens, h)
+        for gens, forms, chi in _linear_open_sets(P3, twisted_cubic):
+            h = math.prod(forms[1:], start=forms[0])
+            assert euler_open_product(gens, h, rng) == euler_two_pass(gens, h, rng) == chi, (gens, h)
+
+
+def _linear_open_sets(P3, twisted_cubic):
+    """(generators, removed linear forms, chi of the open set) in P^3."""
+    x, y, z, w = P3.gens()
+    return [
+        (twisted_cubic.gens, [x + 2 * y + 3 * z + 5 * w], -1),  # P^1 minus 3 points
+        (twisted_cubic.gens, [x], 1),  # x = 0 meets the curve at one point
+        ([x * w - y * z], [x], 1),  # quadric minus two lines
+        ([x, y], [z, w], 0),  # line minus two points
+        ([x * y], [z + w], 1),  # two planes minus two lines through a point
+    ]
+
+
+def _open_by_sections(gens, forms, rng):
+    I = Ideal(forms[0].ring, gens)
+    chi = euler_characteristic(I, rng=rng)
+    return _euler_off_hyperplanes(I, forms, chi, "symbolic", rng, None)
+
+
+class TestHyperplaneSections:
+    """chi(X minus hyperplanes) as a signed sum over the sections X cap H_T."""
+
+    def test_linear_open_sets_match_the_product_route(self, P3, twisted_cubic, rng):
+        for gens, forms, chi in _linear_open_sets(P3, twisted_cubic):
+            h = math.prod(forms[1:], start=forms[0])
+            assert _open_by_sections(gens, forms, rng) == euler_open_product(gens, h, rng) == chi
+
+    def test_generator_vanishes_on_the_section(self, P2, rng):
+        # V(xy) minus {x = 0} is the line y = 0 minus a point; xy restricts to 0
+        x, y, _ = P2.gens()
+        assert _section_euler(Ideal(P2, [x * y]), (x,), "symbolic", rng, None) == 2
+        assert _open_by_sections([x * y], [x], rng) == 1
+
+    def test_point_and_empty_sections(self, P2, rng):
+        x, y, z = P2.gens()
+        # y = z = 0 is the point [1:0:0]: on V(y), off V(x)
+        assert _section_euler(Ideal(P2, [y]), (y, z), "symbolic", rng, None) == 1
+        assert _section_euler(Ideal(P2, [x]), (y, z), "symbolic", rng, None) == 0
+        # three independent forms cut out nothing; dependent ones a point
+        assert _section_euler(Ideal(P2, []), (x, y, z), "symbolic", rng, None) == 0
+        assert _section_euler(Ideal(P2, []), (x, y, x + y), "symbolic", rng, None) == 1
+        # a line minus two of its points
+        assert _open_by_sections([x], [y, z], rng) == 0
+
+    def test_ml_degree_never_builds_the_product(self, monkeypatch):
+        # the censoring surface is a cubic; the product hypersurface of the
+        # open set had degree 8
+        seen = []
+        original = csm.csm_hypersurface
+
+        def spy(f, *args, **kwargs):
+            seen.append(f.total_degree())
+            return original(f, *args, **kwargs)
+
+        monkeypatch.setattr(csm, "csm_hypersurface", spy)
+        f = _censoring()
+        res = ml_degree(Ideal(f.ring, [f]), rng=random.Random(7))
+        assert res.ml_degree == 3
+        assert seen and max(seen) <= 3, seen
+
+
+def _censoring():
+    Rp = Ring(("p0", "p1", "p2", "p12"), FieldSpec(PRIME))
+    p0, p1, p2, p12 = Rp.gens()
+    return 2 * p0 * p1 * p2 + p1 * p1 * p2 + p1 * p2 * p2 - p0 * p0 * p12 + p1 * p2 * p12
+
+
+class TestSubschemeCrossCheck:
+    """1 <= top-dimensional CSM degree <= Hilbert degree, checked on every run."""
+
+    @pytest.mark.parametrize("scale", [0, 2])
+    def test_corrupted_hypersurface_class_is_caught(self, nodal_cubic, rng, monkeypatch, scale):
+        original = csm.csm_hypersurface
+
+        def corrupted(f, *args, **kwargs):
+            res = original(f, *args, **kwargs)
+            return csm.CsmResult(res.pushforward * scale, res.degrees, res.euler, res.dim)
+
+        monkeypatch.setattr(csm, "csm_hypersurface", corrupted)
+        with pytest.raises(DomainError, match="internal cross-check failed"):
+            csm_subscheme(Ideal(nodal_cubic.ring, [nodal_cubic]), rng=rng)
 
 
 class TestAffineEuler:
@@ -385,6 +459,23 @@ class TestMlDegree:
             if all(abs(ln(t)) > 1e-8 for ln in lines) and abs(sigma(t)) > 1e-8
         ]
         return len(good)
+
+    def test_random_quadric_surface(self, P3, rng):
+        # a generic degree-d surface in P^3 has ML degree d + d^2 + d^3
+        res = ml_degree(Ideal(P3, [P3.random_form(2, rng)]), rng=rng)
+        assert res.ml_degree == 14
+
+    @pytest.mark.parametrize("model, expected", [
+        ("censoring", 3), ("independence", 1), ("quadric", 14)])
+    def test_likelihood_equations_oracle(self, P3, rng, model, expected):
+        a, b, c, d = P3.gens()
+        f = {
+            "censoring": _censoring(),
+            "independence": a * d - b * c,
+            "quadric": P3.random_form(2, rng),
+        }[model]
+        assert ml_degree_likelihood(f, rng) == expected
+        assert ml_degree(Ideal(f.ring, [f]), rng=rng).ml_degree == expected
 
     def test_empty_model_rejected(self, P2, rng):
         with pytest.raises(DomainError):
