@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from .errors import DomainError, ResourceError
 from .ideals import Ideal, dimension_and_degree, jacobian_ideal
 from .poly import Polynomial, Ring, homogenize, insert_variable, substitute_linear
-from .segre import SegreDegrees, segre_degrees
+from .segre import SegreDegrees, on_prime_images, segre_degrees
 from .squarefree import squarefree_part
 
 log = logging.getLogger(__name__)
@@ -231,7 +231,9 @@ def csm_hypersurface(
     """CSM class data of the hypersurface V(f) in P^n.
 
     f is replaced by its squarefree part before the Jacobian ideal is taken.
-    The shadow route and the direct degree formula are cross-checked.
+    The shadow route and the direct degree formula are cross-checked.  A
+    rational f runs on GF(p) images with the symbolic backend (see
+    segre.on_prime_images).
     """
     rng = rng or random.Random()
     if f.is_zero() or f.is_constant():
@@ -241,6 +243,10 @@ def csm_hypersurface(
     n = f.ring.nvars - 1
     if n < 1:
         raise DomainError("ambient P^0 has no hypersurfaces")
+    if backend == "symbolic" and not f.ring.field.p:
+        return on_prime_images(
+            [f], f.ring, rng,
+            lambda images, _ring: csm_hypersurface(images[0], backend, rng, cfg))
     fred = squarefree_part(f, rng)
     r = fred.total_degree() - 1
     jac = jacobian_ideal(fred)
@@ -266,11 +272,10 @@ def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None, cfg=None) -> Cs
     nonempty subset, taken size-major.  The zero ideal gives c_SM(P^n); the
     unit ideal is a domain error (empty scheme).  The top-dimensional CSM
     degree (the degree of the reduced top-dimensional part) must lie between
-    1 and the Hilbert degree; anything else is an internal error.
+    1 and the Hilbert degree; anything else is an internal error.  A
+    rational ideal runs on GF(p) images with the symbolic backend (see
+    segre.on_prime_images).
     """
-    stats = dimension_and_degree(I)
-    if stats.dim < 0:
-        raise DomainError("empty scheme: CSM classes are not defined")
     gens = I.gens
     s = len(gens)
     if s > MAX_GENERATORS:
@@ -278,9 +283,16 @@ def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None, cfg=None) -> Cs
             f"inclusion-exclusion over {s} generators needs 2^{s} "
             "hypersurface computations; refusing"
         )
+    rng = rng or random.Random()
+    if backend == "symbolic" and not I.ring.field.p:
+        return on_prime_images(
+            gens, I.ring, rng,
+            lambda images, ring: csm_subscheme(Ideal(ring, images), backend, rng, cfg))
+    stats = dimension_and_degree(I)
+    if stats.dim < 0:
+        raise DomainError("empty scheme: CSM classes are not defined")
     if s > 10:
         log.warning("inclusion-exclusion over %d generators: 2^%d terms", s, s)
-    rng = rng or random.Random()
     n, dim = I.ring.nvars - 1, stats.dim
     total = hyperplane_power(n, 0, n + 1) if not gens else ClassExpr.zero(n)
     for size in range(1, s + 1):
@@ -375,16 +387,24 @@ def affine_euler(
     computed in the P^(n-1) at infinity.  Schemes with no points at infinity
     need no special case.  With `homvar` naming a variable of an already
     homogeneous input, that variable plays x_0 instead and no new variable
-    is added.  An empty projective closure is a domain error.
+    is added.  An empty projective closure is a domain error.  Rational
+    input runs on GF(p) images with the symbolic backend (see
+    segre.on_prime_images).
     """
     gens = list(gens)
     if ring is None:
         if not gens:
             raise DomainError("affine Euler characteristic needs a ring or generators")
         ring = gens[0].ring
+    if homvar is not None and homvar not in ring.names:
+        raise DomainError(f"homogenizing variable {homvar!r} not in ring")
+    rng = rng or random.Random()
+    if backend == "symbolic" and not ring.field.p:
+        return on_prime_images(
+            gens, ring, rng,
+            lambda images, image_ring: affine_euler(images, image_ring, backend, rng,
+                                                    cfg, homvar))
     if homvar is not None:
-        if homvar not in ring.names:
-            raise DomainError(f"homogenizing variable {homvar!r} not in ring")
         hgens = gens
         hring = ring
         hv = ring.var(ring.names.index(homvar))
@@ -396,7 +416,6 @@ def affine_euler(
     closure = Ideal(hring, hgens)
     if dimension_and_degree(closure).dim < 0:
         raise DomainError("empty scheme: the projective closure is empty")
-    rng = rng or random.Random()
     chi = csm_subscheme(closure, backend=backend, rng=rng, cfg=cfg).euler
     return _euler_off_hyperplanes(closure, [hv], chi, backend, rng, cfg)
 
@@ -428,10 +447,15 @@ def ml_degree(I: Ideal, backend: str = "symbolic", rng=None, cfg=None) -> MlResu
     H_T), each section a smaller scheme in a smaller projective space; the
     T = {} term reuses chi(X).  chi(cut) = chi(X) - chi(U) is reported
     beside it.  Assumes U is dense in X and smooth (surfaced in the
-    warnings, not checked).
+    warnings, not checked).  A rational ideal runs on GF(p) images with the
+    symbolic backend (see segre.on_prime_images).
     """
     rng = rng or random.Random()
     ring = I.ring
+    if backend == "symbolic" and not ring.field.p:
+        return on_prime_images(
+            I.gens, ring, rng,
+            lambda images, image_ring: ml_degree(Ideal(image_ring, images), backend, rng, cfg))
     forms = ring.gens() + [sum(ring.gens(), ring.zero())]
     model = csm_subscheme(I, backend=backend, rng=rng, cfg=cfg)
     chi_u = _euler_off_hyperplanes(I, forms, model.euler, backend, rng, cfg)

@@ -26,14 +26,18 @@ sum mu_j * (h_j|L) with uniform mu_j of degree <= m - deg h_j has exactly
 the distribution of a random degree-m element of I restricted to the
 plane.  A level whose slice has positive dimension is resampled.
 
-The count always runs over GF(p).  A rational ideal is reduced modulo
-random primes instead, and the first residual degrees two images share are
-returned.  The degrees are small integers that agree over QQ and GF(p) for
-all but finitely many (unlucky) primes (Arnold, "Modular algorithms for
-computing Groebner bases", JSC 2003), so nothing needs to be lifted back;
-random rational slices would only grow coefficients.  The numeric backend
-(homotopy module) counts non-solutions of sliced systems instead; both
-share the output format.
+The count always runs over GF(p).  Over QQ the symbolic backend never
+computes a rational Groebner basis: each public entry point (here and in
+the csm module) hands a rational input to on_prime_images, which reduces
+it modulo random primes, runs the whole computation on each image, and
+returns the first answer two images share.  The answers are small
+integers that agree over QQ and GF(p) for all but finitely many (unlucky)
+primes (Arnold, "Modular algorithms for computing Groebner bases", JSC
+2003), so nothing needs to be lifted back; random rational slices would
+only grow coefficients.  The numeric backend (homotopy module) counts
+non-solutions of sliced systems instead and keeps rational input exact:
+it receives the QQ ideal itself, because lifting a GF(p) image to C would
+change the polynomial.  Both backends share the output format.
 """
 
 from __future__ import annotations
@@ -86,22 +90,24 @@ def residual_degrees_symbolic(
 
     Each deg R_d is a zero-dimensional point count on a random affine
     d-plane over GF(p).  Over QQ the counts come from images of I at random
-    primes drawn from rng (see _agreeing_images).  m defaults to the maximum
+    primes drawn from rng (see on_prime_images).  m defaults to the maximum
     generator degree and may only be raised.  A level whose slice fails the
     dimension check is resampled, at most `retries` times per level.
     """
     rng = rng or random.Random()
-    if not I.ring.field.p:
-        return _agreeing_images(I, rng, m, retries)
-    n = I.ring.nvars - 1
-    k = dimension_and_degree(I).dim
-    if k < 0:
-        raise DomainError("residual degrees need a nonempty scheme")
     mmax = I.max_degree() if not I.is_zero else 1
     if m is None:
         m = mmax
     elif m < mmax:
         raise DomainError(f"degree bound {m} below maximum generator degree {mmax}")
+    if not I.ring.field.p:
+        return on_prime_images(
+            I.gens, I.ring, rng,
+            lambda gens, ring: residual_degrees_symbolic(Ideal(ring, gens), rng, m, retries))
+    n = I.ring.nvars - 1
+    k = dimension_and_degree(I).dim
+    if k < 0:
+        raise DomainError("residual degrees need a nonempty scheme")
     degrees = {}
     for d in range(n - k, n + 1):
         if d == 0:
@@ -123,31 +129,33 @@ def residual_degrees_symbolic(
     return ResidualDegrees(n, k, m, degrees)
 
 
-def _agreeing_images(I, rng, m, retries):
-    """Residual degrees of a rational ideal from its images modulo random primes.
+def on_prime_images(polys, ring, rng, compute):
+    """compute(images, image_ring) for rational polys, agreed on by two primes.
 
-    A prime that divides a denominator or sends a nonzero coefficient of I
-    to 0 is skipped.  The first result that two images share is returned;
-    an unlucky prime changes its image's result, so three pairwise
-    different results raise GenericityError.
+    Draws primes from rng and maps polys into the ring of the same
+    variables over each GF(p); a prime that divides a denominator or sends
+    a nonzero coefficient to 0 is skipped.  The first answer two images
+    share is returned; an unlucky prime changes its image's answer, so
+    three pairwise different answers raise GenericityError.  Inside compute
+    everything is over GF(p), so the public entry points that call this
+    never nest.
     """
     seen = []
     while len(seen) < 3:
         p = random_prime(rng)
-        ring = Ring(I.ring.names, FieldSpec(p))
+        image = Ring(ring.names, FieldSpec(p))
         try:
-            gens = [change_field(g, ring) for g in I.gens]
+            mapped = [change_field(f, image) for f in polys]
         except DomainError:
             log.debug("prime %d divides an input coefficient or denominator, skipped", p)
             continue
-        log.debug("residual degrees modulo the prime %d", p)
-        res = residual_degrees_symbolic(Ideal(ring, gens), rng, m, retries)
-        if res in seen:
-            return res
-        seen.append(res)
+        log.debug("computing modulo the prime %d", p)
+        answer = compute(mapped, image)
+        if answer in seen:
+            return answer
+        seen.append(answer)
     raise GenericityError(
-        "residual degrees at three random primes all differ: "
-        + ", ".join(str(r.degrees) for r in seen)
+        "answers at three random primes all differ: " + "; ".join(map(str, seen))
     )
 
 
@@ -266,15 +274,25 @@ def segre_degrees(
 
     backend: "symbolic" (Groebner bases) or "numeric" (homotopy non-solution
     counts).  One draw of the residuals; the CLI's --verify reruns the whole
-    command with fresh randomness instead.
+    command with fresh randomness instead.  A rational ideal runs on GF(p)
+    images (on_prime_images) with the symbolic backend and stays exact with
+    the numeric one.  deg s_0 below the Hilbert degree of I raises
+    GenericityError: at each top-dimensional component the Samuel
+    multiplicity is at least the length, so deg s_0 >= deg I always holds.
     """
     rng = rng or random.Random()
-    if dimension_and_degree(I).dim < 0:
+    if backend == "symbolic" and not I.ring.field.p:
+        return on_prime_images(
+            I.gens, I.ring, rng,
+            lambda gens, ring: segre_degrees(Ideal(ring, gens), backend, rng, m, cfg))
+    stats = dimension_and_degree(I)
+    if stats.dim < 0:
         raise DomainError("Segre degrees need a nonempty scheme")
     out = segre_from_residuals(_residuals(I, backend, rng, m, cfg))
-    if out.values and out.values[0] < 1:
+    if out.values[0] < stats.degree:
         raise GenericityError(
-            f"deg s_0 = {out.values[0]} < 1 for a nonempty scheme; residuals suspect"
+            f"deg s_0 = {out.values[0]} below the Hilbert degree {stats.degree}; "
+            "residuals suspect"
         )
     return out
 

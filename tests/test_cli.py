@@ -197,6 +197,34 @@ def test_rational_goldens(capsys, seed, args, key, expected):
     assert data[key] == expected
 
 
+def test_rational_verify_roundtrips(capsys):
+    argv = ["euler", str(PROBLEMS / "twisted_cubic.id"), "--field", "0", "--seed", "4",
+            "--verify", "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["euler"] == 2
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_rational_numeric_backend_stays_exact(capsys, monkeypatch, seed):
+    # the numeric backend tracks the rational polynomials themselves, not an
+    # image modulo a prime lifted to C
+    import charclass.homotopy as homotopy
+
+    fields = []
+    real = homotopy.residual_degrees_numeric
+
+    def spy(I, *args, **kwargs):
+        fields.append(I.ring.field.p)
+        return real(I, *args, **kwargs)
+
+    monkeypatch.setattr(homotopy, "residual_degrees_numeric", spy)
+    argv = ["csm", str(PROBLEMS / "nodal_cubic.id"), "--field", "0", "--backend", "numeric",
+            "--seed", str(seed), "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["csm_degrees"] == [3, 1]
+    assert fields and set(fields) == {0}
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_numeric_mldeg_censoring(capsys, seed):
     # the open set is cut by hyperplane sections, so the numeric backend

@@ -4,7 +4,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import charclass.ideals
+import charclass.segre
+import charclass.squarefree
 from charclass import (
     ClassExpr,
     DomainError,
@@ -20,6 +25,7 @@ from charclass import (
     euler_characteristic,
     ml_degree,
     poly_gcd,
+    segre_degrees,
     segre_from_shadow,
     shadow_from_segre,
 )
@@ -91,6 +97,28 @@ class TestShadow:
             G2 = ClassExpr(prof.n, tuple(coeffs))
             prof2 = segre_from_shadow(G2, prof.r, prof.n, prof.k)
             assert shadow_from_segre(prof2).coeffs == G2.coeffs
+
+
+@st.composite
+def padded_profiles(draw):
+    """A SegreProfile with arbitrary signed Segre entries above the padding."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(-1, n - 1))
+    r = draw(st.integers(0, 10))
+    tail = draw(st.lists(st.integers(-10**6, 10**6), min_size=k + 1, max_size=k + 1))
+    return SegreProfile(n, k, r, (1,) + (0,) * (n - k - 1) + tuple(tail))
+
+
+class TestShadowProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(padded_profiles())
+    def test_segre_from_shadow_inverts_shadow_from_segre(self, sp):
+        assert segre_from_shadow(shadow_from_segre(sp), sp.r, sp.n, sp.k) == sp
+
+    @settings(max_examples=300, deadline=None)
+    @given(padded_profiles())
+    def test_direct_formula_matches_shadow_route(self, sp):
+        assert csm_degrees_from_segre(sp) == csm_from_shadow(shadow_from_segre(sp)).coeffs[1:]
 
 
 class TestCsmFromShadow:
@@ -509,3 +537,60 @@ class TestFieldAndAmbientEdges:
         assert csm_hypersurface(u * v, rng=rng).euler == 2
         assert csm_hypersurface(u * u, rng=rng).euler == 1  # support is one point
         assert euler_characteristic(Ideal(P1, []), rng=rng) == 2  # chi(P^1)
+
+
+def _rational_inputs():
+    """The golden inputs over QQ, built fresh (an Ideal caches its basis)."""
+    qq = FieldSpec(0)
+    P2 = Ring(("x", "y", "z"), qq)
+    x, y, z = P2.gens()
+    P3 = Ring(("x", "y", "z", "w"), qq)
+    a, b, c, d = P3.gens()
+    A2 = Ring(("x", "y"), qq)
+    u, v = A2.gens()
+    Rp = Ring(("p0", "p1", "p2", "p12"), qq)
+    p0, p1, p2, p12 = Rp.gens()
+    censoring = 2 * p0 * p1 * p2 + p1 * p1 * p2 + p1 * p2 * p2 - p0 * p0 * p12 + p1 * p2 * p12
+    return {
+        "twisted_cubic": Ideal(P3, [a * c - b * b, b * d - c * c, a * d - b * c]),
+        "nodal_cubic": x**3 + x * x * z - y * y * z,
+        "hyperbola": [u * v - 1],
+        "censoring": Ideal(Rp, [censoring]),
+    }
+
+
+# entry point on a QQ input -> its answer, and the answer pinned over GF(p)
+RATIONAL_ENTRY_POINTS = [
+    pytest.param(lambda q, rng: segre_degrees(q["twisted_cubic"], rng=rng).values,
+                 (3, -10), id="segre_degrees"),
+    pytest.param(lambda q, rng: csm_hypersurface(q["nodal_cubic"], rng=rng).pushforward.coeffs,
+                 (0, 3, 1), id="csm_hypersurface"),
+    pytest.param(lambda q, rng: csm_subscheme(q["twisted_cubic"], rng=rng).degrees,
+                 (3, 2), id="csm_subscheme"),
+    pytest.param(lambda q, rng: euler_characteristic(q["twisted_cubic"], rng=rng),
+                 2, id="euler_characteristic"),
+    pytest.param(lambda q, rng: affine_euler(q["hyperbola"], rng=rng), 0, id="affine_euler"),
+    pytest.param(lambda q, rng: ml_degree(q["censoring"], rng=rng).ml_degree,
+                 3, id="ml_degree"),
+]
+
+
+class TestRationalBoundary:
+    """Over QQ every symbolic entry point runs whole GF(p) images."""
+
+    @pytest.fixture
+    def basis_fields(self, monkeypatch):
+        """Characteristics of the rings every Groebner basis is computed in."""
+        fields = []
+        for module in (charclass.ideals, charclass.segre, charclass.squarefree):
+            def spy(polys, _real=module.buchberger):
+                fields.extend(f.ring.field.p for f in polys)
+                return _real(polys)
+
+            monkeypatch.setattr(module, "buchberger", spy)
+        return fields
+
+    @pytest.mark.parametrize("call, expected", RATIONAL_ENTRY_POINTS)
+    def test_answer_equals_the_prime_field_pin(self, call, expected, basis_fields):
+        assert call(_rational_inputs(), random.Random(12)) == expected
+        assert basis_fields and 0 not in basis_fields

@@ -15,6 +15,7 @@ from charclass import (
     Ideal,
     ResidualDegrees,
     Ring,
+    csm_subscheme,
     dimension_and_degree,
     jacobian_ideal,
     residual_degrees_symbolic,
@@ -122,6 +123,33 @@ class TestSegreDegrees:
     def test_unit_ideal_rejected(self, P2, rng):
         with pytest.raises(DomainError):
             segre_degrees(Ideal(P2, [P2.one()]), rng=rng)
+
+
+class TestHilbertDegreeBound:
+    """deg s_0 is at least the Hilbert degree of I, and equality can fail."""
+
+    def test_square_of_a_line_ideal(self, P3, rng):
+        # (x, y)^2 in P^3: a line of length 3 and Samuel multiplicity 4.
+        # Squaring the ideal doubles the exceptional divisor of the blowup,
+        # so s_i of (x, y)^2 is 2^(2+i) times s_i of the line, (1, -2).
+        x, y, _, _ = P3.gens()
+        I = Ideal(P3, [x * x, x * y, y * y])
+        assert dimension_and_degree(I).degree == 3
+        assert segre_degrees(I, rng=rng).values == (4, -16)
+
+    def test_lowered_s0_is_refused(self, twisted_cubic, rng, monkeypatch):
+        # one more residual point at the first level gives s_0 = 2 < 3
+        real = segre.residual_degrees_symbolic
+
+        def inflated(I, *args, **kwargs):
+            res = real(I, *args, **kwargs)
+            first = res.n - res.k
+            return ResidualDegrees(res.n, res.k, res.m,
+                                   {**res.degrees, first: res.degrees[first] + 1})
+
+        monkeypatch.setattr(segre, "residual_degrees_symbolic", inflated)
+        with pytest.raises(GenericityError, match="Hilbert degree 3"):
+            segre_degrees(twisted_cubic, rng=rng)
 
 
 def _golden_ideals():
@@ -407,6 +435,28 @@ class TestRationalImages:
         self._spy(monkeypatch, self.PRIMES, wrong=lambda p, degree: degree + shift[p])
         with pytest.raises(GenericityError, match="three random primes"):
             residual_degrees_symbolic(self._twisted_cubic_qq(), random.Random(3))
+
+    @staticmethod
+    def _nodal_cubic_qq():
+        R = Ring(("x", "y", "z"), FieldSpec(0))
+        x, y, z = R.gens()
+        return Ideal(R, [x**3 + x * x * z - y * y * z])
+
+    def test_wrong_image_outvoted_inside_csm_subscheme(self, monkeypatch):
+        # one residual point fewer at the first prime moves its Euler
+        # characteristic from 1 to 2; the other two images agree on 1
+        bad = self.PRIMES[0]
+        seen = self._spy(monkeypatch, self.PRIMES,
+                         wrong=lambda p, degree: degree - 1 if p == bad else degree)
+        res = csm_subscheme(self._nodal_cubic_qq(), rng=random.Random(2))
+        assert res.degrees == (3, 1)
+        assert seen == list(self.PRIMES)
+
+    def test_three_different_images_refused_inside_csm_subscheme(self, monkeypatch):
+        shift = {p: i for i, p in enumerate(self.PRIMES)}
+        self._spy(monkeypatch, self.PRIMES, wrong=lambda p, degree: degree - shift[p])
+        with pytest.raises(GenericityError, match="three random primes"):
+            csm_subscheme(self._nodal_cubic_qq(), rng=random.Random(3))
 
     def test_twisted_cubic_triple_product_jacobian(self):
         I = self._twisted_cubic_qq()
