@@ -36,7 +36,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, GenericityError, ResourceError
 from .ideals import Ideal, dimension_and_degree, jacobian_ideal
 from .poly import Polynomial, Ring, homogenize, insert_variable, substitute_linear
 from .segre import SegreDegrees, on_prime_images, segre_degrees
@@ -272,8 +272,9 @@ def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None, cfg=None) -> Cs
     nonempty subset, taken size-major.  The zero ideal gives c_SM(P^n); the
     unit ideal is a domain error (empty scheme).  The top-dimensional CSM
     degree (the degree of the reduced top-dimensional part) must lie between
-    1 and the Hilbert degree; anything else is an internal error.  A
-    rational ideal runs on GF(p) images with the symbolic backend (see
+    1 and the Hilbert degree; anything else raises GenericityError, as
+    the hypersurface classes rest on random residuals.  A rational ideal
+    runs on GF(p) images with the symbolic backend (see
     segre.on_prime_images).
     """
     gens = I.gens
@@ -302,9 +303,9 @@ def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None, cfg=None) -> Cs
             total = total + push * (-1) ** (size + 1)
     degrees = tuple(total.coeffs[n - dim + p] for p in range(dim + 1))
     if not 1 <= degrees[0] <= stats.degree:
-        raise DomainError(
+        raise GenericityError(
             f"internal cross-check failed: top-dimensional CSM degree {degrees[0]} "
-            f"outside [1, {stats.degree}] (Hilbert degree)"
+            f"outside [1, {stats.degree}] (Hilbert degree); residuals suspect"
         )
     return CsmResult(total, degrees, total.coeffs[n], dim)
 

@@ -7,88 +7,33 @@ unique reduced Groebner basis.  `buchberger` reduces against a list of its
 live reducers in basis order, rebuilt when an element retires, so retired
 elements are never scanned.
 
-Over GF(p) every reducer is monic and stores its tail negated mod p, and
-reduction mod p is lazy: coefficients of the working polynomial grow as
-plain ints and are reduced once, when their term leaves the heap.  Over Q
-the engine is fraction-free
-(Becker-Weispfenning, *Groebner Bases*, ch. 10): each reducer is a primitive
-integer polynomial with a positive lead coefficient, reduction scales the
-working polynomial instead of dividing, and Fractions appear only at the
-boundary: `buchberger` and `interreduce` return the monic reduced basis and
-`normal_form` the exact remainder, all with Fraction coefficients.
+One loop serves both fields.  Every reducer is monic and stores its tail
+negated: p - c over GF(p), -c over Q, where the coefficients are Fractions.
+Over GF(p) reduction mod p is lazy: coefficients of the working polynomial
+grow as plain ints and are reduced once, when their term leaves the heap.
+The `% p` reductions are the only field-dependent steps.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
-from fractions import Fraction
 
 from .errors import DomainError
-from .poly import Polynomial, Ring
-
-
-def _cleared(terms):
-    """(den, ints) with den the lcm of the denominators and ints = den * terms."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
-
-
-def _integral(terms) -> dict:
-    """Primitive integer multiple of a nonzero {key: rational} dict, lead > 0.
-
-    A dict of ints (the engine's own form) is returned as is when primitive.
-    The positive lead keeps a unit lead coefficient at 1, which reduces
-    without scaling.
-    """
-    lk = max(terms)
-    if type(terms[lk]) is not int:
-        terms = _cleared(terms)[1]
-    g = math.gcd(*terms.values())
-    if terms[lk] < 0:
-        g = -g
-    if g == 1:
-        return terms
-    return {k: c // g for k, c in terms.items()}
-
-
-def _normalized(f: Polynomial) -> Polynomial:
-    """f scaled to the engine's form: monic over GF(p), primitive over Q.
-
-    Over Q the result holds int coefficients; it stays inside this module.
-    """
-    if f.ring.field.p:
-        return f.monic()
-    return Polynomial(f.ring, _integral(f._t))
-
-
-def _monic_rational(ring: Ring, terms: dict) -> Polynomial:
-    """The monic Fraction polynomial of a nonzero integer dict over Q."""
-    lc = terms[max(terms)]
-    return Polynomial(ring, {k: Fraction(c, lc) for k, c in terms.items()})
+from .poly import Polynomial
 
 
 def _nf_dict(fdict, reducers, ring):
     """Full normal form of {key: coeff} against `_make_reducer` tuples.
 
     reducers: the live reducers in basis order, each a tuple (lm_key,
-    lm_exp_part, lm_tag, lc, tail_items), tail_items being the non-lead
-    (key, coeff) pairs.  A term is reduced by the first reducer whose lead
-    monomial divides it.
+    lm_exp_part, lm_tag, tail_items), tail_items being the non-lead
+    (key, -coeff) pairs of a monic polynomial.  A term is reduced by the
+    first reducer whose lead monomial divides it: a hit adds c * tail to the
+    working dict with no zero test, and a term that has cancelled to 0 is
+    dropped when it is popped from the heap.  Over GF(p) that pop is also
+    where its coefficient is reduced mod p, once.
 
-    Over GF(p) each reducer is monic (lc == 1) and stores its tail negated
-    mod p, and reduction mod p is lazy: a hit adds c * tail to the working
-    dict with no `% p` and no zero test, and a coefficient is reduced once,
-    when its term is popped from the heap; a term that is then 0 is dropped.
-    Over Q fdict and the reducers hold ints: a term c*x^k hit by a reducer
-    with lead coefficient a scales the working dict by s = a / gcd(a, c) and
-    subtracts (c / gcd(a, c)) * x^k/lm * tail.
-
-    Returns (rem, mult) with mult * f = (combination of reducers) + rem, so
-    rem / mult is the remainder of reduction by the monic reducers; mult is
-    1 over GF(p), where every remainder coefficient lies in [1, p).  Over Q
-    each remainder term is stored with the running multiplier and rescaled
-    once at the end.
+    Returns the remainder dict; over GF(p) its coefficients lie in [1, p).
     """
     codec = ring.codec
     p = ring.field.p
@@ -102,7 +47,6 @@ def _nf_dict(fdict, reducers, ring):
     heap = [-k for k in work]
     heapq.heapify(heap)
     rem = {}
-    mult = 1
     while heap:
         k = -heappop(heap)
         c = work.pop(k, None)
@@ -110,8 +54,8 @@ def _nf_dict(fdict, reducers, ring):
             continue
         if p:
             c %= p
-            if not c:
-                continue
+        if not c:
+            continue
         ke = k & expmask
         ktag = k >> tagshift
         hit = None
@@ -122,86 +66,47 @@ def _nf_dict(fdict, reducers, ring):
                 hit = red
                 break
         if hit is None:
-            rem[k] = c if p else (c, mult)
+            rem[k] = c
             continue
         shift = k - hit[0]  # equals (quotient key) - ONE, the term-shift offset
-        if p:
-            for kk, ncc in hit[4]:
-                nk = kk + shift
-                v = work.get(nk)
-                if v is None:
-                    work[nk] = c * ncc
-                    heappush(heap, -nk)
-                else:
-                    work[nk] = v + c * ncc
-        else:
-            a = hit[3]
-            if a != 1:
-                g = math.gcd(a, c)
-                if g != a:
-                    s = a // g
-                    mult *= s
-                    work = {kk: v * s for kk, v in work.items()}
-                c //= g
-            for kk, cc in hit[4]:
-                nk = kk + shift
-                v = work.get(nk)
-                if v is None:
-                    work[nk] = -c * cc
-                    heappush(heap, -nk)
-                else:
-                    v = v - c * cc
-                    if v:
-                        work[nk] = v
-                    else:
-                        del work[nk]
-    if not p:
-        rem = {k: c if m == mult else c * (mult // m) for k, (c, m) in rem.items()}
-    return rem, mult
+        for kk, ncc in hit[3]:
+            nk = kk + shift
+            v = work.get(nk)
+            if v is None:
+                work[nk] = c * ncc
+                heappush(heap, -nk)
+            else:
+                work[nk] = v + c * ncc
+    return rem
 
 
 def _make_reducer(g: Polynomial):
-    """Reducer tuple of a polynomial already in `_normalized` form.
+    """Reducer tuple of a monic polynomial; the tail is stored negated.
 
-    Over GF(p) the tail coefficients are stored negated mod p (see _nf_dict).
+    p - c is -c mod p over GF(p) and -c over Q, where p == 0.
     """
     codec = g.ring.codec
     p = g.ring.field.p
     lm = g.lm()
-    if p:
-        tail = [(k, p - c) for k, c in g._t.items() if k != lm]
-    else:
-        tail = [(k, c) for k, c in g._t.items() if k != lm]
-    return (lm, (lm & codec.expmask) | codec.guard, codec.tag(lm), g._t[lm], tail)
+    tail = [(k, p - c) for k, c in g._t.items() if k != lm]
+    return (lm, (lm & codec.expmask) | codec.guard, codec.tag(lm), tail)
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of f under full reduction by the (nonzero) basis polynomials.
 
-    The remainder is the one of reduction by the monic basis elements; over Q
-    it is exact, not scaled.
+    The remainder is the one of reduction by the monic basis elements.
     """
     basis = [g for g in basis if g]
     if not basis or not f:
         return f
     ring = f.ring
-    reducers = [_make_reducer(_normalized(g)) for g in basis]
-    if ring.field.p:
-        return Polynomial(ring, _nf_dict(f._t, reducers, ring)[0])
-    den, ints = _cleared(f._t)
-    rem, mult = _nf_dict(ints, reducers, ring)
-    den *= mult
-    return Polynomial(ring, {k: Fraction(c, den) for k, c in rem.items()})
+    reducers = [_make_reducer(g.monic()) for g in basis]
+    return Polynomial(ring, _nf_dict(f._t, reducers, ring))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial of two nonzero polynomials.
-
-    Over GF(p) it is the combination of the monic f and g; over Q it is the
-    fraction-free one of their primitive integer multiples, a nonzero
-    rational multiple of the monic S-polynomial.  Its coefficients are
-    Fractions, or ints when f holds ints (the engine's internal form).
-    """
+    """S-polynomial of two nonzero polynomials: that of the monic f and g."""
     ring = f.ring
     codec = ring.codec
     lf, lg = f.lm(), g.lm()
@@ -209,47 +114,24 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     mf = codec.quo(tau, lf) - codec.one
     mg = codec.quo(tau, lg) - codec.one
     p = ring.field.p
+    # basis elements are monic already: rescan for the lead only when not
+    ft = f._t if f._t[lf] == 1 else f.monic()._t
+    gt = g._t if g._t[lg] == 1 else g.monic()._t
     # the two lead terms cancel, so neither is added
-    if p:
-        ft, gt = f._t, g._t
-        if ft[lf] != 1:
-            inv = pow(ft[lf], -1, p)
-            ft = {k: c * inv % p for k, c in ft.items()}
-        if gt[lg] != 1:
-            inv = pow(gt[lg], -1, p)
-            gt = {k: c * inv % p for k, c in gt.items()}
-        out = {k + mf: c for k, c in ft.items() if k != lf}
-        for k, c in gt.items():
-            if k == lg:
-                continue
-            nk = k + mg
-            v = out.get(nk)
-            if v is None:
-                out[nk] = p - c
-            else:
-                v = (v - c) % p
-                if v:
-                    out[nk] = v
-                else:
-                    del out[nk]
-        return Polynomial(ring, out)
-    fi = _integral(f._t)
-    gi = _integral(g._t)
-    d = math.gcd(fi[lf], gi[lg])
-    sf = gi[lg] // d
-    sg = fi[lf] // d
-    out = {k + mf: sf * c for k, c in fi.items() if k != lf}
-    for k, c in gi.items():
+    out = {k + mf: c for k, c in ft.items() if k != lf}
+    for k, c in gt.items():
         if k == lg:
             continue
         nk = k + mg
-        v = out.get(nk, 0) - sg * c
-        if v:
-            out[nk] = v
+        v = out.get(nk)
+        if v is None:
+            out[nk] = p - c
         else:
-            del out[nk]
-    if type(f._t[lf]) is not int:
-        out = {k: Fraction(c) for k, c in out.items()}
+            v = (v - c) % p if p else v - c
+            if v:
+                out[nk] = v
+            else:
+                del out[nk]
     return Polynomial(ring, out)
 
 
@@ -269,9 +151,8 @@ def buchberger(polys) -> list:
     expmask = codec.expmask
     guard = codec.guard
     tagshift = codec.tagshift
-    p = ring.field.p
 
-    basis = []      # Polynomial in `_normalized` form, append-only
+    basis = []      # monic Polynomials, append-only
     red = []        # parallel reducer tuples
     dead = []       # parallel flags; dead entries make no pairs / reduce nothing
     lms = []        # parallel packed lead monomials
@@ -337,11 +218,10 @@ def buchberger(polys) -> list:
         lms.append(lmh)
 
     def reduce(f: Polynomial):
-        """Add the normalized remainder of f, when nonzero, to the basis."""
-        terms = f._t if p else _integral(f._t)
-        rem = _nf_dict(terms, live, ring)[0] if basis else terms
+        """Add the monic remainder of f, when nonzero, to the basis."""
+        rem = _nf_dict(f._t, live, ring) if basis else f._t
         if rem:
-            update(_normalized(Polynomial(ring, rem)))
+            update(Polynomial(ring, rem).monic())
 
     for f in sorted(polys, key=lambda g: g.lm()):
         reduce(f)
@@ -368,7 +248,7 @@ def interreduce(polys) -> list:
     given ones changes nothing: either way the result is g's lead plus a
     tail with no term divisible by any lead, the unique reduced element.
     """
-    polys = [_normalized(f) for f in polys if f]
+    polys = [f.monic() for f in polys if f]
     # minimalize: drop elements whose lead monomial another one divides
     polys.sort(key=lambda g: g.lm())
     minimal = []
@@ -379,18 +259,12 @@ def interreduce(polys) -> list:
     if not minimal:
         return []
     ring = minimal[0].ring
-    p = ring.field.p
     reducers = []
     out = []
     for g in minimal:
-        rem = _nf_dict(g._t, reducers, ring)[0]
-        if p:
-            # no smaller lead divides lm(g), so its coefficient stays 1
-            out.append(Polynomial(ring, rem))
-            reducers.append(_make_reducer(out[-1]))
-        else:
-            out.append(_monic_rational(ring, rem))
-            reducers.append(_make_reducer(Polynomial(ring, _integral(rem))))
+        # no smaller lead divides lm(g), so its coefficient stays 1
+        out.append(Polynomial(ring, _nf_dict(g._t, reducers, ring)))
+        reducers.append(_make_reducer(out[-1]))
     return out
 
 
@@ -405,13 +279,7 @@ def is_groebner_basis(polys) -> bool:
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f / g when g divides f exactly; DomainError otherwise.
-
-    Over Q the division runs on integers: f = F / df and g = cg * G / dg with
-    F integral and G primitive, so by Gauss's lemma an exact quotient F / G is
-    integral, and a lead coefficient that G's does not divide proves the
-    division inexact.  Fractions are built only for the quotient.
-    """
+    """Quotient f / g when g divides f exactly; DomainError otherwise."""
     if not g:
         raise DomainError("division by the zero polynomial")
     ring = f.ring
@@ -420,16 +288,9 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     codec = ring.codec
     one = codec.one
     p = ring.field.p
-    if p:
-        gt = g.monic()._t
-        work = dict(f._t)
-    else:
-        df, work = _cleared(f._t)
-        dg, gt = _cleared(g._t)
-        cg = math.gcd(*gt.values())
-        gt = {k: c // cg for k, c in gt.items()}
+    gt = g.monic()._t
+    work = dict(f._t)
     glm = max(gt)
-    a = gt[glm]
     gitems = [(k, c) for k, c in gt.items() if k != glm]
     quot = {}
     while work:
@@ -437,10 +298,6 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
         c = work.pop(k)
         if not codec.divides(glm, k):
             raise DomainError("polynomial division is not exact")
-        if not p:
-            c, r = divmod(c, a)
-            if r:
-                raise DomainError("polynomial division is not exact")
         qk = k - glm + one
         quot[qk] = c
         shift = qk - one
@@ -453,9 +310,7 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
                 work[nk] = v
             elif nk in work:
                 del work[nk]
+    scale = ring.field.inv(g.lc())
     if p:
-        scale = ring.field.inv(g.lc())
-        quot = {k: c * scale % p for k, c in quot.items()}
-    else:
-        quot = {k: Fraction(c * dg, df * cg) for k, c in quot.items()}
-    return Polynomial(ring, quot)
+        return Polynomial(ring, {k: c * scale % p for k, c in quot.items()})
+    return Polynomial(ring, {k: c * scale for k, c in quot.items()})

@@ -25,9 +25,6 @@ degree slot, giving the product order "t-degree first, then grevlex", which
 is an elimination order for t.
 
 Coefficients are ints in [0, p) for GF(p), and Fraction for Q (p == 0).
-The one exception lives inside the Groebner engine (groebner.py): over Q it
-works on primitive integer polynomials whose coefficients are plain ints,
-and returns Fraction polynomials at its boundary.
 Polynomial values are immutable: every operation returns a fresh value.
 """
 

@@ -234,3 +234,12 @@ def test_numeric_mldeg_censoring(capsys, seed):
     assert main(argv) == 0
     data = json.loads(capsys.readouterr().out)
     assert (data["ml_degree"], data["chi_X"], data["chi_cut"]) == (3, 5, 2)
+
+
+def test_numeric_subscheme_invariant_is_a_genericity_exit(capsys):
+    # at this seed the random residuals give the twisted cubic a top CSM
+    # degree of 4 > its degree 3: a valid input, so exit 4, not 3 (domain)
+    argv = ["euler", str(PROBLEMS / "twisted_cubic.id"), "--field", "0",
+            "--backend", "numeric", "--seed", "3"]
+    assert main(argv) == 4
+    assert "outside [1, 3]" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from charclass import (
     ClassExpr,
     DomainError,
     FieldSpec,
+    GenericityError,
     Ideal,
     Ring,
     SegreProfile,
@@ -342,7 +343,7 @@ class TestSubschemeCrossCheck:
             return csm.CsmResult(res.pushforward * scale, res.degrees, res.euler, res.dim)
 
         monkeypatch.setattr(csm, "csm_hypersurface", corrupted)
-        with pytest.raises(DomainError, match="internal cross-check failed"):
+        with pytest.raises(GenericityError, match="internal cross-check failed"):
             csm_subscheme(Ideal(nodal_cubic.ring, [nodal_cubic]), rng=rng)
 
 

@@ -148,7 +148,19 @@ def test_lazy_reduction_returns_canonical_coefficients(P2, rng):
         assert normal_form(f - r, gb).is_zero()
 
 
-# -- QQ contracts of the fraction-free engine -----------------------------------
+# -- QQ contracts: the same loop on Fraction coefficients ----------------------
+
+
+def test_s_polynomial_rationals_is_that_of_the_monic_pair():
+    # with x > y > z: monic f = x^2 - yz/6, monic g = xy + 4z^2/3, and
+    # y*(x^2 - yz/6) - x*(xy + 4z^2/3) = -y^2z/6 - 4xz^2/3, whatever f, g's scale
+    ring = Ring(("x", "y", "z"), FieldSpec(0))
+    x, y, z = ring.gens()
+    f = 2 * x * x - Fraction(1, 3) * y * z
+    g = Fraction(3, 4) * x * y + z * z
+    s = s_polynomial(f, g)
+    assert s == -Fraction(1, 6) * y * y * z - Fraction(4, 3) * x * z * z
+    assert all(isinstance(c, Fraction) for _, c in s.terms())
 
 
 def test_normal_form_rationals_is_exact_remainder():
