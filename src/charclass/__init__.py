@@ -78,7 +78,6 @@ from .csm import (
 from .homotopy import (
     PathEndpoint,
     StraightLineHomotopy,
-    TrackerConfig,
     classify_endpoint,
     residual_degrees_numeric,
     track_path,
@@ -101,7 +100,7 @@ __all__ = [
     "shadow_from_segre", "segre_from_shadow", "csm_from_shadow",
     "csm_degrees_from_segre", "csm_hypersurface", "csm_subscheme",
     "euler_characteristic", "affine_euler", "ml_degree",
-    "TrackerConfig", "PathEndpoint", "StraightLineHomotopy", "track_path",
+    "PathEndpoint", "StraightLineHomotopy", "track_path",
     "classify_endpoint", "residual_degrees_numeric",
     "ProblemFile", "parse_problem", "parse_expression",
 ]

@@ -32,8 +32,6 @@ from .errors import (
     ParseError,
     ResourceError,
 )
-from .homotopy import TrackerConfig
-from .ideals import dimension_and_degree
 from .primes import random_prime
 from .problemfile import parse_problem
 from .segre import segre_degrees
@@ -133,11 +131,13 @@ def run(command: str, flags: dict, problem) -> ResultRecord:
     backend = flags.get("backend", "symbolic")
     affine = bool(flags.get("affine")) or problem.affine
     rng = random.Random(seed)
-    cfg = TrackerConfig(seed=seed)
+    degree_bound = flags.get("degree_bound")
     record = ResultRecord(command=command, digest=problem.digest(),
                           field=fieldp, seed=seed, backend=backend)
     t0 = time.perf_counter()
 
+    if degree_bound is not None and (command != "segre" or affine):
+        raise DomainError("--degree-bound applies to the segre command only")
     if affine:
         if command != "euler":
             raise DomainError(f"--affine applies to the euler command, not {command!r}")
@@ -147,13 +147,11 @@ def run(command: str, flags: dict, problem) -> ResultRecord:
 
         def answer():
             return {"euler": affine_euler(gens, ring=ring, backend=backend, rng=rng,
-                                          cfg=cfg, homvar=problem.homvar)}
+                                          homvar=problem.homvar)}
     else:
         ideal = problem.ideal(fieldp)
         record.n = ideal.ring.nvars - 1
-        record.dim = dimension_and_degree(ideal).dim
-        answer = functools.partial(_answer, command, ideal, backend, rng, cfg,
-                                   flags.get("degree_bound"))
+        answer = functools.partial(_answer, command, ideal, backend, rng, degree_bound)
 
     fields = answer()
     if flags.get("verify") and answer() != fields:
@@ -164,20 +162,20 @@ def run(command: str, flags: dict, problem) -> ResultRecord:
     return record
 
 
-def _answer(command, ideal, backend, rng, cfg, degree_bound) -> dict:
+def _answer(command, ideal, backend, rng, degree_bound) -> dict:
     """The record fields one run of `command` produces."""
     if command == "segre":
-        sd = segre_degrees(ideal, backend=backend, rng=rng, m=degree_bound, cfg=cfg)
-        return {"segre": list(sd.values)}
+        sd = segre_degrees(ideal, backend=backend, rng=rng, m=degree_bound)
+        return {"dim": sd.k, "segre": list(sd.values)}
     if command in ("csm", "euler"):
-        res = csm_subscheme(ideal, backend=backend, rng=rng, cfg=cfg)
+        res = csm_subscheme(ideal, backend=backend, rng=rng)
         if command == "euler":
-            return {"euler": res.euler}
-        return {"euler": res.euler, "csm_degrees": list(res.degrees),
+            return {"dim": res.dim, "euler": res.euler}
+        return {"dim": res.dim, "euler": res.euler, "csm_degrees": list(res.degrees),
                 "pushforward": list(res.pushforward.coeffs)}
     if command == "mldeg":
-        res = ml_degree(ideal, backend=backend, rng=rng, cfg=cfg)
-        return {"ml_degree": res.ml_degree, "chi_X": res.chi_model,
+        res = ml_degree(ideal, backend=backend, rng=rng)
+        return {"dim": res.dim, "ml_degree": res.ml_degree, "chi_X": res.chi_model,
                 "chi_cut": res.chi_cut, "warnings": list(res.warnings)}
     raise DomainError(f"unknown command {command!r}")
 

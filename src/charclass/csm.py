@@ -63,13 +63,6 @@ class ClassExpr:
     def zero(n: int) -> "ClassExpr":
         return ClassExpr(n, (0,) * (n + 1))
 
-    @staticmethod
-    def monomial(n: int, j: int, c: int = 1) -> "ClassExpr":
-        v = [0] * (n + 1)
-        if j <= n:
-            v[j] = c
-        return ClassExpr(n, tuple(v))
-
     def __add__(self, other):
         self._check(other)
         return ClassExpr(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -222,12 +215,7 @@ def csm_degrees_from_segre(sp: SegreProfile) -> tuple:
     return tuple(out)
 
 
-def csm_hypersurface(
-    f: Polynomial,
-    backend: str = "symbolic",
-    rng=None,
-    cfg=None,
-) -> CsmResult:
+def csm_hypersurface(f: Polynomial, backend: str = "symbolic", rng=None) -> CsmResult:
     """CSM class data of the hypersurface V(f) in P^n.
 
     f is replaced by its squarefree part before the Jacobian ideal is taken.
@@ -246,14 +234,14 @@ def csm_hypersurface(
     if backend == "symbolic" and not f.ring.field.p:
         return on_prime_images(
             [f], f.ring, rng,
-            lambda images, _ring: csm_hypersurface(images[0], backend, rng, cfg))
+            lambda images, _ring: csm_hypersurface(images[0], backend, rng))
     fred = squarefree_part(f, rng)
     r = fred.total_degree() - 1
     jac = jacobian_ideal(fred)
     if dimension_and_degree(jac).dim < 0:
         segre = None  # smooth hypersurface
     else:
-        segre = segre_degrees(jac, backend=backend, rng=rng, cfg=cfg)
+        segre = segre_degrees(jac, backend=backend, rng=rng)
     profile = SegreProfile.from_segre(n, r, segre)
     push = csm_from_shadow(shadow_from_segre(profile))
     degrees = tuple(push.coeffs[1:])
@@ -265,7 +253,7 @@ def csm_hypersurface(
     return CsmResult(push, degrees, push.coeffs[n], n - 1)
 
 
-def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None, cfg=None) -> CsmResult:
+def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None) -> CsmResult:
     """CSM class data of V(I) by inclusion-exclusion over generator products.
 
     Costs 2^s - 1 hypersurface computations for s generators, one per
@@ -288,7 +276,7 @@ def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None, cfg=None) -> Cs
     if backend == "symbolic" and not I.ring.field.p:
         return on_prime_images(
             gens, I.ring, rng,
-            lambda images, ring: csm_subscheme(Ideal(ring, images), backend, rng, cfg))
+            lambda images, ring: csm_subscheme(Ideal(ring, images), backend, rng))
     stats = dimension_and_degree(I)
     if stats.dim < 0:
         raise DomainError("empty scheme: CSM classes are not defined")
@@ -299,7 +287,7 @@ def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None, cfg=None) -> Cs
     for size in range(1, s + 1):
         for subset in itertools.combinations(gens, size):
             prod = functools.reduce(operator.mul, subset)
-            push = csm_hypersurface(prod, backend=backend, rng=rng, cfg=cfg).pushforward
+            push = csm_hypersurface(prod, backend=backend, rng=rng).pushforward
             total = total + push * (-1) ** (size + 1)
     degrees = tuple(total.coeffs[n - dim + p] for p in range(dim + 1))
     if not 1 <= degrees[0] <= stats.degree:
@@ -310,7 +298,7 @@ def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None, cfg=None) -> Cs
     return CsmResult(total, degrees, total.coeffs[n], dim)
 
 
-def _section_euler(I: Ideal, forms, backend, rng, cfg) -> int:
+def _section_euler(I: Ideal, forms, backend, rng) -> int:
     """chi(V(I) cap V(forms)) for linear forms: V(forms) is a P^m.
 
     Row-reduces the forms; each pivot variable becomes minus its row in the
@@ -351,10 +339,10 @@ def _section_euler(I: Ideal, forms, backend, rng, cfg) -> int:
     J = Ideal(sub, gens)
     if dimension_and_degree(J).dim < 0:
         return 0
-    return csm_subscheme(J, backend=backend, rng=rng, cfg=cfg).euler
+    return csm_subscheme(J, backend=backend, rng=rng).euler
 
 
-def _euler_off_hyperplanes(I: Ideal, forms, chi_closed: int, backend, rng, cfg) -> int:
+def _euler_off_hyperplanes(I: Ideal, forms, chi_closed: int, backend, rng) -> int:
     """chi(V(I) minus the union of the hyperplanes V(l), l in forms).
 
     The identity 1_{X \\ union H_l} = sum_{T subset forms} (-1)^|T| 1_{X cap H_T}
@@ -363,13 +351,13 @@ def _euler_off_hyperplanes(I: Ideal, forms, chi_closed: int, backend, rng, cfg) 
     total = chi_closed
     for size in range(1, len(forms) + 1):
         for subset in itertools.combinations(forms, size):
-            total += (-1) ** size * _section_euler(I, subset, backend, rng, cfg)
+            total += (-1) ** size * _section_euler(I, subset, backend, rng)
     return total
 
 
-def euler_characteristic(I: Ideal, backend: str = "symbolic", rng=None, cfg=None) -> int:
+def euler_characteristic(I: Ideal, backend: str = "symbolic", rng=None) -> int:
     """Topological Euler characteristic of the support of V(I)."""
-    return csm_subscheme(I, backend=backend, rng=rng, cfg=cfg).euler
+    return csm_subscheme(I, backend=backend, rng=rng).euler
 
 
 def affine_euler(
@@ -377,7 +365,6 @@ def affine_euler(
     ring=None,
     backend: str = "symbolic",
     rng=None,
-    cfg=None,
     homvar: str | None = None,
 ) -> int:
     """Euler characteristic of an affine scheme V(gens) in A^n.
@@ -403,8 +390,7 @@ def affine_euler(
     if backend == "symbolic" and not ring.field.p:
         return on_prime_images(
             gens, ring, rng,
-            lambda images, image_ring: affine_euler(images, image_ring, backend, rng,
-                                                    cfg, homvar))
+            lambda images, image_ring: affine_euler(images, image_ring, backend, rng, homvar))
     if homvar is not None:
         hgens = gens
         hring = ring
@@ -417,8 +403,8 @@ def affine_euler(
     closure = Ideal(hring, hgens)
     if dimension_and_degree(closure).dim < 0:
         raise DomainError("empty scheme: the projective closure is empty")
-    chi = csm_subscheme(closure, backend=backend, rng=rng, cfg=cfg).euler
-    return _euler_off_hyperplanes(closure, [hv], chi, backend, rng, cfg)
+    chi = csm_subscheme(closure, backend=backend, rng=rng).euler
+    return _euler_off_hyperplanes(closure, [hv], chi, backend, rng)
 
 
 def _fresh_name(names):
@@ -438,7 +424,7 @@ class MlResult:
     warnings: tuple = field(default_factory=tuple)
 
 
-def ml_degree(I: Ideal, backend: str = "symbolic", rng=None, cfg=None) -> MlResult:
+def ml_degree(I: Ideal, backend: str = "symbolic", rng=None) -> MlResult:
     """Maximum likelihood degree of the model X = V(I) in probability
     coordinates p_0..p_n.
 
@@ -456,10 +442,10 @@ def ml_degree(I: Ideal, backend: str = "symbolic", rng=None, cfg=None) -> MlResu
     if backend == "symbolic" and not ring.field.p:
         return on_prime_images(
             I.gens, ring, rng,
-            lambda images, image_ring: ml_degree(Ideal(image_ring, images), backend, rng, cfg))
+            lambda images, image_ring: ml_degree(Ideal(image_ring, images), backend, rng))
     forms = ring.gens() + [sum(ring.gens(), ring.zero())]
-    model = csm_subscheme(I, backend=backend, rng=rng, cfg=cfg)
-    chi_u = _euler_off_hyperplanes(I, forms, model.euler, backend, rng, cfg)
+    model = csm_subscheme(I, backend=backend, rng=rng)
+    chi_u = _euler_off_hyperplanes(I, forms, model.euler, backend, rng)
     warnings = ["assumes U = X \\ V(g) is smooth, very affine and dense in X"]
     if chi_u == 0:
         warnings.append("chi(U) = 0: U may be empty or the model degenerate")

@@ -28,6 +28,10 @@ left one unreached: the level is an error too, logged as `crossed`.
 No information flows between levels (no cascade reuse): each level gets
 fresh random data.
 
+The tolerances and limits (corrector and on-variety tolerances, step sizes,
+Newton iterations, level retries) are the module constants below; no
+argument overrides them.
+
 numpy is loaded on the first numeric call, not at import, so a symbolic run
 never executes it.
 """
@@ -64,28 +68,19 @@ def _lazy_numpy():
 np = _lazy_numpy()
 
 
-@dataclass(frozen=True)
-class TrackerConfig:
-    """Tolerances and limits for the predictor-corrector tracker."""
-
-    corrector_tol: float = 1e-10
-    on_variety_tol: float = 1e-8
-    cluster_tol: float = 1e-6
-    max_step_halvings: int = 48
-    newton_iters: int = 3
-    endpoint_newton: int = 14
-    initial_step: float = 0.05
-    max_step: float = 0.2
-    min_step: float = 1e-14
-    blowup: float = 1e10
-    singular_cond: float = 1e10
-    level_retries: int = 3
-    seed: int | None = None
-
-    def __post_init__(self):
-        for name in ("corrector_tol", "on_variety_tol", "cluster_tol"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+# Tolerances and limits of the tracker and of the level counts.
+CORRECTOR_TOL = 1e-10      # corrector and endpoint convergence
+ON_VARIETY_TOL = 1e-8      # endpoint on V(I) below this; ambiguous within 10x
+CLUSTER_TOL = 1e-6         # chordal distance of endpoints on one projective point
+SINGULAR_COND = 1e10       # Jacobian condition number above which a point is singular
+NEWTON_ITERS = 3           # corrector steps per predictor step
+ENDPOINT_NEWTON = 14       # polishing steps on the target system at t = 0
+INITIAL_STEP = 0.05
+MAX_STEP = 0.2
+MIN_STEP = 1e-14           # a step below this loses the path (diverged)
+MAX_STEP_HALVINGS = 48     # rejected steps after which a path is lost
+BLOWUP = 1e10              # max |x| after which a path is lost
+LEVEL_RETRIES = 3          # attempts per level before NumericBackendError
 
 
 @dataclass
@@ -93,9 +88,7 @@ class PathEndpoint:
     """Endpoint of one tracked path in chart coordinates."""
 
     point: np.ndarray
-    status: str                      # converged | diverged | singular
-    residual: float | None = None    # max scaled |h(point)| over generators
-    classification: str | None = None  # solution | non-solution (converged only)
+    status: str  # converged | diverged | singular
 
 
 class _Ambiguous(Exception):
@@ -264,7 +257,7 @@ def _newton(evaluate, X, tol, iters, scaled):
     return ok, res
 
 
-def track_paths(starts, homotopy: StraightLineHomotopy, cfg: TrackerConfig) -> list[PathEndpoint]:
+def track_paths(starts, homotopy: StraightLineHomotopy) -> list[PathEndpoint]:
     """Track start solutions from t=1 to t=0 together, one row per path.
 
     Each path keeps its own t, step size, success streak and halving count:
@@ -277,7 +270,7 @@ def track_paths(starts, homotopy: StraightLineHomotopy, cfg: TrackerConfig) -> l
     X = np.array(starts, dtype=np.complex128)
     p = len(X)
     t = np.ones(p)
-    dt = np.full(p, cfg.initial_step)
+    dt = np.full(p, INITIAL_STEP)
     halvings = np.zeros(p, dtype=np.int64)
     streak = np.zeros(p, dtype=np.int64)
     lost = np.zeros(p, dtype=bool)
@@ -292,37 +285,37 @@ def track_paths(starts, homotopy: StraightLineHomotopy, cfg: TrackerConfig) -> l
         xn = X[idx] - _solve_rows(hx, -ht) * step[:, None]  # dx/dt = -Hx^{-1} Ht
         ok, _ = _newton(
             lambda k, Y, jac: homotopy.eval(Y, tn[k], jac)[:2],
-            xn, cfg.corrector_tol, cfg.newton_iters, scaled=True,
+            xn, CORRECTOR_TOL, NEWTON_ITERS, scaled=True,
         )
         acc, rej = idx[ok], idx[~ok]
         X[acc], t[acc] = xn[ok], tn[ok]
         streak[acc] += 1
         grow = acc[streak[acc] >= 4]
-        dt[grow] = np.minimum(dt[grow] * 2, cfg.max_step)
+        dt[grow] = np.minimum(dt[grow] * 2, MAX_STEP)
         streak[grow] = 0
         streak[rej] = 0
         dt[rej] /= 2
         halvings[rej] += 1
-        lost[rej[(dt[rej] < cfg.min_step) | (halvings[rej] > cfg.max_step_halvings)]] = True
-        lost[idx[np.abs(X[idx]).max(axis=1) > cfg.blowup]] = True
+        lost[rej[(dt[rej] < MIN_STEP) | (halvings[rej] > MAX_STEP_HALVINGS)]] = True
+        lost[idx[np.abs(X[idx]).max(axis=1) > BLOWUP]] = True
     res = np.full(p, np.inf)
     fin = np.flatnonzero(~lost)
     Y = X[fin]
     _, res[fin] = _newton(
         lambda k, Z, jac: homotopy.target.eval(Z, jac),
-        Y, cfg.corrector_tol, cfg.endpoint_newton, scaled=False,
+        Y, CORRECTOR_TOL, ENDPOINT_NEWTON, scaled=False,
     )
     X[fin] = Y
-    status = np.select([res <= cfg.corrector_tol, res < 1e-4], ["converged", "singular"], "diverged")
+    status = np.select([res <= CORRECTOR_TOL, res < 1e-4], ["converged", "singular"], "diverged")
     return [PathEndpoint(x.copy(), str(s)) for x, s in zip(X, status)]
 
 
-def track_path(start, homotopy: StraightLineHomotopy, cfg: TrackerConfig) -> PathEndpoint:
+def track_path(start, homotopy: StraightLineHomotopy) -> PathEndpoint:
     """Track one start solution from t=1 to t=0 (a batch of one path)."""
-    return track_paths([start], homotopy, cfg)[0]
+    return track_paths([start], homotopy)[0]
 
 
-def classify_endpoint(point, gens: list, square: _Square, cfg: TrackerConfig):
+def classify_endpoint(point, gens: list, square: _Square):
     """Classify a converged endpoint as solution / non-solution w.r.t. V(I).
 
     The point is normalized to unit norm; each generator is evaluated and
@@ -333,20 +326,18 @@ def classify_endpoint(point, gens: list, square: _Square, cfg: TrackerConfig):
     x = np.asarray(point, dtype=np.complex128)
     xhat = x / np.linalg.norm(x)
     residual = max(abs(g.eval(xhat)) / g.coeff_norm() for g in gens)
-    tol = cfg.on_variety_tol
+    tol = ON_VARIETY_TOL
     if tol / 10 <= residual <= tol * 10:
         raise _Ambiguous(f"on-variety residual {residual:.3e} near tolerance {tol:.1e}")
     if residual < tol:
         return "solution", residual
     cond = np.linalg.cond(square.eval(x[None])[1][0])
-    if not np.isfinite(cond) or cond > cfg.singular_cond:
+    if not np.isfinite(cond) or cond > SINGULAR_COND:
         return "singular", residual
     return "non-solution", residual
 
 
-def residual_degrees_numeric(
-    I: Ideal, rng=None, cfg: TrackerConfig | None = None, m: int | None = None
-) -> ResidualDegrees:
+def residual_degrees_numeric(I: Ideal, rng=None, m: int | None = None) -> ResidualDegrees:
     """Residual degrees of V(I) by counting non-solutions per level.
 
     Level ranges and m follow the symbolic backend; the counts come from
@@ -355,12 +346,9 @@ def residual_degrees_numeric(
     account for every path, and a persistent failure is a
     NumericBackendError.
     """
-    cfg = cfg or TrackerConfig()
-    if rng is None:
-        rng = random.Random(cfg.seed)
+    rng = rng or random.Random()
     n = I.ring.nvars - 1
-    stats = dimension_and_degree(I)
-    k = stats.dim
+    k = dimension_and_degree(I).dim
     if k < 0:
         raise DomainError("residual degrees need a nonempty scheme")
     mmax = I.max_degree() if not I.is_zero else 1
@@ -375,16 +363,16 @@ def residual_degrees_numeric(
             degrees[0] = 0
             continue
         err = None
-        for attempt in range(cfg.level_retries):
+        for attempt in range(LEVEL_RETRIES):
             try:
-                degrees[d] = _count_level(I.ring, gens, d, m, rng, cfg)
+                degrees[d] = _count_level(I.ring, gens, d, m, rng)
                 break
             except (_Ambiguous, NumericBackendError) as exc:
                 err = exc
                 log.debug("level %d attempt %d rerun: %s", d, attempt, exc)
         else:
             raise NumericBackendError(
-                f"level {d} stayed ambiguous after {cfg.level_retries} reruns: {err}"
+                f"level {d} stayed ambiguous after {LEVEL_RETRIES} reruns: {err}"
             )
     return ResidualDegrees(n, k, m, degrees)
 
@@ -457,20 +445,19 @@ def _level_system(ring, gens, d, m, rng):
     return target, hom, starts
 
 
-def _count_level(ring, gens, d, m, rng, cfg) -> int:
+def _count_level(ring, gens, d, m, rng) -> int:
     target, hom, starts = _level_system(ring, gens, d, m, rng)
     res0 = np.abs(hom.start.eval(starts, jac=False)[0]).max(axis=1)
     scale = np.maximum(1.0, np.abs(starts).max(axis=1))
-    if (res0 > cfg.corrector_tol * scale).any():
+    if (res0 > CORRECTOR_TOL * scale).any():
         raise NumericBackendError(f"start point residual {res0.max():.2e} too large")
 
     histogram = dict.fromkeys(("solution", "non-solution", "singular", "diverged"), 0)
     ends = []  # converged, nonsingular endpoints: (point, bucket)
-    for ep in track_paths(starts, hom, cfg):
+    for ep in track_paths(starts, hom):
         bucket = ep.status
-        if ep.status == "converged":
-            bucket, ep.residual = classify_endpoint(ep.point, gens, target, cfg)
-            ep.classification = bucket if bucket != "singular" else None
+        if bucket == "converged":
+            bucket, _ = classify_endpoint(ep.point, gens, target)
             if bucket != "singular":
                 ends.append((ep.point, bucket))
         histogram[bucket] += 1
@@ -480,10 +467,10 @@ def _count_level(ring, gens, d, m, rng, cfg) -> int:
         )
     # a nonsingular root of the target ends exactly one path, so a cluster of
     # two or more well-conditioned endpoints shows that paths crossed
-    clusters = _clusters([x / np.linalg.norm(x) for x, _ in ends], cfg.cluster_tol)
+    clusters = _clusters([x / np.linalg.norm(x) for x, _ in ends], CLUSTER_TOL)
     crossed = sum(
         len(c) - 1 for c in clusters if len(c) > 1 and all(
-            np.linalg.cond(target.eval(ends[i][0][None])[1][0]) < cfg.singular_cond
+            np.linalg.cond(target.eval(ends[i][0][None])[1][0]) < SINGULAR_COND
             for i in c
         )
     )

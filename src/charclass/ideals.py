@@ -38,7 +38,7 @@ class Ideal:
 
     __slots__ = ("ring", "gens", "_gb", "_stats")
 
-    def __init__(self, ring: Ring, gens, _gb=None):
+    def __init__(self, ring: Ring, gens):
         self.ring = ring
         kept = []
         for g in gens:
@@ -50,7 +50,7 @@ class Ideal:
                 raise DomainError(f"generator {g} is not homogeneous")
             kept.append(g)
         self.gens = tuple(kept)
-        self._gb = list(_gb) if _gb is not None else None
+        self._gb = None
         self._stats = None
 
     def __repr__(self):
@@ -78,11 +78,6 @@ class Ideal:
 
     def same_ideal(self, other: "Ideal") -> bool:
         return self.ring == other.ring and self.groebner() == other.groebner()
-
-    def stats(self) -> SchemeStats:
-        if self._stats is None:
-            self._stats = dimension_and_degree(self)
-        return self._stats
 
     def max_degree(self) -> int:
         return max((g.total_degree() for g in self.gens), default=0)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, ParseError
 from .ideals import Ideal
-from .poly import FieldSpec, Polynomial, Ring, change_field
+from .poly import _SLOTMAX, FieldSpec, Polynomial, Ring, change_field
 
 _TOKEN = re.compile(
     r"""(?P<ws>[ \t\r]+)
@@ -193,8 +193,10 @@ class _Parser:
     def term(self, ring) -> Polynomial:
         total = self.factor(ring)
         while self.peek().text == "*":
-            self.next()
-            total = total * self.factor(ring)
+            tok = self.next()
+            rhs = self.factor(ring)
+            _check_degree(total.total_degree() + rhs.total_degree(), tok)
+            total = total * rhs
         return total
 
     # factor := base ['^' int]
@@ -203,6 +205,7 @@ class _Parser:
         if self.peek().text == "^":
             self.next()
             e = self.expect("int")
+            _check_degree(base.total_degree() * int(e.text), e)
             return base ** int(e.text)
         return base
 
@@ -220,6 +223,13 @@ class _Parser:
             self.expect("sym", ")")
             return inner
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
+
+
+def _check_degree(degree: int, tok: _Token):
+    """Refuse a degree the packed monomial keys cannot hold."""
+    if degree > _SLOTMAX:
+        raise ParseError(f"degree {degree} above the supported maximum {_SLOTMAX}",
+                         tok.line, tok.column)
 
 
 def parse_problem(text: str) -> ProblemFile:

@@ -56,6 +56,8 @@ from .primes import random_prime
 
 log = logging.getLogger(__name__)
 
+LEVEL_RETRIES = 3  # slices drawn per level before GenericityError
+
 
 @dataclass(frozen=True)
 class ResidualDegrees:
@@ -83,16 +85,14 @@ class SegreDegrees:
             raise DomainError("Segre degree vector has wrong length")
 
 
-def residual_degrees_symbolic(
-    I: Ideal, rng=None, m: int | None = None, retries: int = 3
-) -> ResidualDegrees:
+def residual_degrees_symbolic(I: Ideal, rng=None, m: int | None = None) -> ResidualDegrees:
     """Residual degrees of X = V(I), one level per codimension.
 
     Each deg R_d is a zero-dimensional point count on a random affine
     d-plane over GF(p).  Over QQ the counts come from images of I at random
     primes drawn from rng (see on_prime_images).  m defaults to the maximum
     generator degree and may only be raised.  A level whose slice fails the
-    dimension check is resampled, at most `retries` times per level.
+    dimension check is resampled, at most LEVEL_RETRIES times per level.
     """
     rng = rng or random.Random()
     mmax = I.max_degree() if not I.is_zero else 1
@@ -103,7 +103,7 @@ def residual_degrees_symbolic(
     if not I.ring.field.p:
         return on_prime_images(
             I.gens, I.ring, rng,
-            lambda gens, ring: residual_degrees_symbolic(Ideal(ring, gens), rng, m, retries))
+            lambda gens, ring: residual_degrees_symbolic(Ideal(ring, gens), rng, m))
     n = I.ring.nvars - 1
     k = dimension_and_degree(I).dim
     if k < 0:
@@ -114,7 +114,7 @@ def residual_degrees_symbolic(
             # X is all of P^n; nothing is cut and nothing is residual
             degrees[0] = 0
             continue
-        for attempt in range(retries):
+        for attempt in range(LEVEL_RETRIES):
             degree = _sliced_degree(I, d, m, rng)
             if degree is not None:
                 degrees[d] = degree
@@ -124,7 +124,7 @@ def residual_degrees_symbolic(
         else:
             raise GenericityError(
                 f"residual at level {d} failed the dimension check "
-                f"{retries} times (nongeneric randomness)"
+                f"{LEVEL_RETRIES} times (nongeneric randomness)"
             )
     return ResidualDegrees(n, k, m, degrees)
 
@@ -268,7 +268,6 @@ def segre_degrees(
     backend: str = "symbolic",
     rng=None,
     m: int | None = None,
-    cfg=None,
 ) -> SegreDegrees:
     """Degrees of the Segre classes of V(I) in P^n.
 
@@ -284,11 +283,11 @@ def segre_degrees(
     if backend == "symbolic" and not I.ring.field.p:
         return on_prime_images(
             I.gens, I.ring, rng,
-            lambda gens, ring: segre_degrees(Ideal(ring, gens), backend, rng, m, cfg))
+            lambda gens, ring: segre_degrees(Ideal(ring, gens), backend, rng, m))
     stats = dimension_and_degree(I)
     if stats.dim < 0:
         raise DomainError("Segre degrees need a nonempty scheme")
-    out = segre_from_residuals(_residuals(I, backend, rng, m, cfg))
+    out = segre_from_residuals(_residuals(I, backend, rng, m))
     if out.values[0] < stats.degree:
         raise GenericityError(
             f"deg s_0 = {out.values[0]} below the Hilbert degree {stats.degree}; "
@@ -297,11 +296,11 @@ def segre_degrees(
     return out
 
 
-def _residuals(I, backend, rng, m, cfg):
+def _residuals(I, backend, rng, m):
     if backend == "symbolic":
         return residual_degrees_symbolic(I, rng, m)
     if backend == "numeric":
         from . import homotopy
 
-        return homotopy.residual_degrees_numeric(I, rng, cfg, m)
+        return homotopy.residual_degrees_numeric(I, rng, m)
     raise DomainError(f"unknown backend {backend!r}")

@@ -20,6 +20,8 @@ from .groebner import buchberger, exact_divide
 from .ideals import _tag_ring
 from .poly import Polynomial, Ring, directional_derivative, drop_variable, map_to_ring
 
+RETRIES = 6  # random directions tried before GenericityError
+
 
 def _binary_restriction(f: Polynomial, a, b):
     """Coefficients of f(s*a + t*b) as a binary form, listed by s-degree.
@@ -131,12 +133,12 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     return exact_divide(f * g, lcm).monic()
 
 
-def squarefree_part(f: Polynomial, rng=None, retries: int = 6) -> Polynomial:
+def squarefree_part(f: Polynomial, rng=None) -> Polynomial:
     """A squarefree homogeneous polynomial with the same zero set as f.
 
     Computed as f / gcd(f, D_v f) for a random direction v and verified;
-    the result is unique up to a scalar.  Raises GenericityError when every
-    retry fails the verification (nongeneric randomness).
+    the result is unique up to a scalar.  Raises GenericityError when the
+    verification fails for all RETRIES directions (nongeneric randomness).
     """
     if f.is_zero():
         raise DomainError("squarefree part of the zero polynomial")
@@ -147,7 +149,7 @@ def squarefree_part(f: Polynomial, rng=None, retries: int = 6) -> Polynomial:
     rng = rng or random.Random()
     field = f.ring.field
     nv = f.ring.nvars
-    for _ in range(retries):
+    for _ in range(RETRIES):
         v = [field.uniform(rng) for _ in range(nv)]
         df = directional_derivative(f, v)
         if df.is_zero():

@@ -140,6 +140,19 @@ class TestMainExitCodes:
         assert main(["csm", "--expr", "vars x,y; gens: x;", "--affine",
                      "--seed", "1", "--field", str(PRIME)]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["csm", str(PROBLEMS / "twisted_cubic.id")],
+        ["euler", str(PROBLEMS / "twisted_cubic.id")],
+        ["mldeg", str(PROBLEMS / "censoring.id")],
+        ["euler", "--affine", str(PROBLEMS / "hyperbola_affine.id")],
+    ], ids=["csm", "euler", "mldeg", "affine"])
+    def test_degree_bound_outside_segre_exit_3(self, capsys, argv):
+        # only segre draws its cuts in a chosen degree; elsewhere the flag
+        # would be silently ignored
+        assert main(argv + ["--degree-bound", "3", "--seed", "1", "--field", str(PRIME),
+                            "--json"]) == 3
+        assert "--degree-bound" in json.loads(capsys.readouterr().err)["error"]
+
     def test_affine_no_points_at_infinity(self, capsys):
         # two points of A^1, none at infinity
         assert main(["euler", "--affine", "--expr", "vars x; affine; gens: x^2-1;",

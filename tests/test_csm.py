@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from charclass import (
     csm_subscheme,
     euler_characteristic,
     ml_degree,
+    parse_problem,
     poly_gcd,
     segre_degrees,
     segre_from_shadow,
@@ -32,6 +34,7 @@ from charclass import (
 )
 
 import charclass.csm as csm
+from charclass import cli
 from charclass.csm import _euler_off_hyperplanes, _section_euler
 
 from helpers import (
@@ -43,6 +46,8 @@ from helpers import (
     ml_degree_likelihood,
     smooth_hypersurface_pushforward,
 )
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 
 
 def random_profile(rng, nmax=8, rmax=10):
@@ -280,7 +285,7 @@ def _linear_open_sets(P3, twisted_cubic):
 def _open_by_sections(gens, forms, rng):
     I = Ideal(forms[0].ring, gens)
     chi = euler_characteristic(I, rng=rng)
-    return _euler_off_hyperplanes(I, forms, chi, "symbolic", rng, None)
+    return _euler_off_hyperplanes(I, forms, chi, "symbolic", rng)
 
 
 class TestHyperplaneSections:
@@ -294,17 +299,17 @@ class TestHyperplaneSections:
     def test_generator_vanishes_on_the_section(self, P2, rng):
         # V(xy) minus {x = 0} is the line y = 0 minus a point; xy restricts to 0
         x, y, _ = P2.gens()
-        assert _section_euler(Ideal(P2, [x * y]), (x,), "symbolic", rng, None) == 2
+        assert _section_euler(Ideal(P2, [x * y]), (x,), "symbolic", rng) == 2
         assert _open_by_sections([x * y], [x], rng) == 1
 
     def test_point_and_empty_sections(self, P2, rng):
         x, y, z = P2.gens()
         # y = z = 0 is the point [1:0:0]: on V(y), off V(x)
-        assert _section_euler(Ideal(P2, [y]), (y, z), "symbolic", rng, None) == 1
-        assert _section_euler(Ideal(P2, [x]), (y, z), "symbolic", rng, None) == 0
+        assert _section_euler(Ideal(P2, [y]), (y, z), "symbolic", rng) == 1
+        assert _section_euler(Ideal(P2, [x]), (y, z), "symbolic", rng) == 0
         # three independent forms cut out nothing; dependent ones a point
-        assert _section_euler(Ideal(P2, []), (x, y, z), "symbolic", rng, None) == 0
-        assert _section_euler(Ideal(P2, []), (x, y, x + y), "symbolic", rng, None) == 1
+        assert _section_euler(Ideal(P2, []), (x, y, z), "symbolic", rng) == 0
+        assert _section_euler(Ideal(P2, []), (x, y, x + y), "symbolic", rng) == 1
         # a line minus two of its points
         assert _open_by_sections([x], [y, z], rng) == 0
 
@@ -594,4 +599,19 @@ class TestRationalBoundary:
     @pytest.mark.parametrize("call, expected", RATIONAL_ENTRY_POINTS)
     def test_answer_equals_the_prime_field_pin(self, call, expected, basis_fields):
         assert call(_rational_inputs(), random.Random(12)) == expected
+        assert basis_fields and 0 not in basis_fields
+
+    @pytest.mark.parametrize("command, problem, expected", [
+        ("segre", "twisted_cubic.id", {"dim": 1, "segre": [3, -10]}),
+        ("csm", "nodal_cubic.id", {"dim": 1, "csm_degrees": [3, 1]}),
+        ("euler", "twisted_cubic.id", {"dim": 1, "euler": 2}),
+        ("mldeg", "censoring.id", {"dim": 2, "ml_degree": 3}),
+        ("euler", "hyperbola_affine.id", {"euler": 0}),
+    ])
+    def test_cli_run_builds_no_rational_basis(self, command, problem, expected, basis_fields):
+        # record.dim comes from the answer, so a symbolic --field 0 run of
+        # the CLI never reaches a basis over QQ either
+        text = (PROBLEMS / problem).read_text()
+        rec = cli.run(command, {"seed": 12, "fieldp": 0}, parse_problem(text))
+        assert {key: getattr(rec, key) for key in expected} == expected
         assert basis_fields and 0 not in basis_fields

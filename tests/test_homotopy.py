@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from charclass import (
     Ideal,
     StraightLineHomotopy,
-    TrackerConfig,
     jacobian_ideal,
     residual_degrees_numeric,
     residual_degrees_symbolic,
@@ -44,26 +43,23 @@ def _univariate_homotopy(target_terms, start_terms, gamma):
 class TestTrackPath:
     def test_quadratic_branch(self):
         # (1-t)(x^2-1) + t gamma (x^2-4) from x = 2 lands on x = +-1
-        cfg = TrackerConfig()
         hom = _univariate_homotopy(
             {(2,): 1.0, (0,): -1.0}, {(2,): 1.0, (0,): -4.0}, complex(0.8, 0.6)
         )
-        ep = track_path(np.array([2.0 + 0j]), hom, cfg)
+        ep = track_path(np.array([2.0 + 0j]), hom)
         assert ep.status == "converged"
         assert min(abs(ep.point[0] - 1), abs(ep.point[0] + 1)) < 1e-8
 
     def test_identity_homotopy(self):
-        cfg = TrackerConfig()
         hom = _univariate_homotopy({(2,): 1.0, (0,): -4.0}, {(2,): 1.0, (0,): -4.0}, 1.0)
-        ep = track_path(np.array([2.0 + 0j]), hom, cfg)
+        ep = track_path(np.array([2.0 + 0j]), hom)
         assert ep.status == "converged"
         assert abs(ep.point[0] - 2.0) < 1e-8
 
     def test_divergence_to_infinity(self):
         # target 1 = 0 has no root; the path from the start root escapes
-        cfg = TrackerConfig()
         hom = _univariate_homotopy({(0,): 1.0}, {(1,): 1.0, (0,): -1.0}, complex(0.6, 0.8))
-        ep = track_path(np.array([1.0 + 0j]), hom, cfg)
+        ep = track_path(np.array([1.0 + 0j]), hom)
         assert ep.status == "diverged"
 
 
@@ -72,11 +68,10 @@ class TestBatching:
         # level 2 of the twisted cubic: four paths with isolated endpoints
         gens = [_lift(g, 4) for g in twisted_cubic.gens]
         _, hom, starts = _level_system(twisted_cubic.ring, gens, 2, 2, random.Random(3))
-        cfg = TrackerConfig()
-        batch = track_paths(starts, hom, cfg)
+        batch = track_paths(starts, hom)
         assert len(batch) == len(starts) == 4
         for x0, ep in zip(starts, batch):
-            alone = track_path(x0, hom, cfg)
+            alone = track_path(x0, hom)
             assert ep.status == alone.status
             assert np.max(np.abs(ep.point - alone.point)) < 1e-8
 
@@ -86,12 +81,11 @@ class TestBatching:
         hom = _univariate_homotopy(
             {(1,): 1.0, (0,): -1.0}, {(2,): 1.0, (0,): -4.0}, complex(0.6, 0.8)
         )
-        cfg = TrackerConfig()
         starts = np.array([[2], [-2]], dtype=complex)
-        batch = track_paths(starts, hom, cfg)
+        batch = track_paths(starts, hom)
         assert sorted(ep.status for ep in batch) == ["converged", "diverged"]
         for x0, ep in zip(starts, batch):
-            assert ep.status == track_path(x0, hom, cfg).status
+            assert ep.status == track_path(x0, hom).status
             if ep.status == "converged":
                 assert abs(ep.point[0] - 1) < 1e-8
 
@@ -150,18 +144,16 @@ class TestClassification:
 
     def test_point_on_curve(self, twisted_cubic):
         gens, square = self._setup(twisted_cubic)
-        cfg = TrackerConfig()
         cls, residual = classify_endpoint(
-            np.array([1, 1, 1, 1], dtype=complex), gens, square, cfg
+            np.array([1, 1, 1, 1], dtype=complex), gens, square
         )
         assert cls == "solution"
         assert residual < 1e-12
 
     def test_generic_point_off_curve(self, twisted_cubic):
         gens, square = self._setup(twisted_cubic)
-        cfg = TrackerConfig()
         cls, residual = classify_endpoint(
-            np.array([1.3, -0.7, 2.1, 0.4], dtype=complex), gens, square, cfg
+            np.array([1.3, -0.7, 2.1, 0.4], dtype=complex), gens, square
         )
         assert cls == "non-solution"
         assert residual > 1e-4
@@ -221,7 +213,7 @@ class TestPathAccounting:
         from charclass.errors import NumericBackendError
 
         original = hm.track_paths
-        monkeypatch.setattr(hm, "track_paths", lambda s, h, c: original(s, h, c)[1:])
+        monkeypatch.setattr(hm, "track_paths", lambda s, h: original(s, h)[1:])
         with pytest.raises(NumericBackendError, match="accounted for 3 of 4 paths"):
             residual_degrees_numeric(twisted_cubic, random.Random(0))
 
@@ -233,8 +225,8 @@ class TestPathAccounting:
 
         original = hm.track_paths
 
-        def jumped(starts, hom, cfg):
-            ends = original(starts, hom, cfg)
+        def jumped(starts, hom):
+            ends = original(starts, hom)
             return ends[:-1] + [hm.PathEndpoint(ends[0].point.copy(), ends[0].status)]
 
         monkeypatch.setattr(hm, "track_paths", jumped)
@@ -255,7 +247,7 @@ class TestPathAccounting:
         from charclass.errors import NumericBackendError
         from charclass.homotopy import _Ambiguous
 
-        def always_ambiguous(point, gens, square, cfg):
+        def always_ambiguous(point, gens, square):
             raise _Ambiguous("forced")
 
         monkeypatch.setattr(hm, "classify_endpoint", always_ambiguous)
@@ -268,6 +260,7 @@ class TestPathAccounting:
         import charclass.homotopy as hm
         from charclass.errors import NumericBackendError
 
-        cfg = TrackerConfig(corrector_tol=1e-300, level_retries=1)
+        monkeypatch.setattr(hm, "CORRECTOR_TOL", 1e-300)
+        monkeypatch.setattr(hm, "LEVEL_RETRIES", 1)
         with pytest.raises(NumericBackendError):
-            residual_degrees_numeric(twisted_cubic, random.Random(0), cfg)
+            residual_degrees_numeric(twisted_cubic, random.Random(0))

@@ -75,6 +75,16 @@ class TestGrammar:
         with pytest.raises(ParseError, match="duplicate"):
             parse_problem("vars x,x; gens: x;")
 
+    @pytest.mark.parametrize("gens", ["x^32768", "x^20000*x^20000", "(x^200)^200"])
+    def test_degree_above_the_key_slots_rejected(self, gens):
+        # a 16-bit exponent slot would wrap: x^32768 used to parse as y
+        with pytest.raises(ParseError, match="degree"):
+            parse_problem(f"vars x,y,z; gens: {gens};")
+
+    def test_top_supported_degree(self):
+        g = parse_problem("vars x,y,z; gens: x^32767;").generators[0]
+        assert g == g.ring.var(0) ** 32767 and g.total_degree() == 32767
+
 
 class TestFieldChange:
     """A coefficient the prime kills is an error, not a silently lost term."""

@@ -339,9 +339,10 @@ class TestResampling:
 
     def test_genericity_error_after_retries(self, monkeypatch, caplog):
         I, calls = self._line_setup(monkeypatch, degenerate_attempts=4)
+        monkeypatch.setattr(segre, "LEVEL_RETRIES", 4)
         with caplog.at_level(logging.DEBUG, logger="charclass.segre"):
             with pytest.raises(GenericityError):
-                residual_degrees_symbolic(I, random.Random(7), m=2, retries=4)
+                residual_degrees_symbolic(I, random.Random(7), m=2)
         assert calls["slice"] == 4
         resamples = [r for r in caplog.records if "resampling" in r.getMessage()]
         assert len(resamples) == 4
