@@ -71,25 +71,9 @@ class ResultRecord:
     timing_ms: int = 0
 
     def to_json(self) -> str:
-        data = {
-            "schema_version": SCHEMA_VERSION,
-            "command": self.command,
-            "inputs_digest": self.digest,
-            "n": self.n,
-            "dim": self.dim,
-            "field": self.field,
-            "seed": self.seed,
-            "backend": self.backend,
-            "segre": self.segre,
-            "csm_degrees": self.csm_degrees,
-            "pushforward": self.pushforward,
-            "euler": self.euler,
-            "ml_degree": self.ml_degree,
-            "chi_X": self.chi_X,
-            "chi_cut": self.chi_cut,
-            "warnings": self.warnings,
-            "timing_ms": self.timing_ms,
-        }
+        data = dataclasses.asdict(self)
+        data["inputs_digest"] = data.pop("digest")
+        data["schema_version"] = SCHEMA_VERSION
         return json.dumps(data, sort_keys=True, separators=(", ", ": "))
 
     def to_text(self) -> str:

@@ -301,39 +301,25 @@ def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None) -> CsmResult:
 def _section_euler(I: Ideal, forms, backend, rng) -> int:
     """chi(V(I) cap V(forms)) for linear forms: V(forms) is a P^m.
 
-    Row-reduces the forms; each pivot variable becomes minus its row in the
-    free variables, which are the coordinates of the P^m.
+    The reduced grevlex Groebner basis of linear forms is their reduced row
+    echelon form: each element's lead variable is a pivot, and maps to minus
+    the element's tail in the free variables, which are the coordinates of
+    the P^m.
     """
     ring = I.ring
-    field = ring.field
     nv = ring.nvars
-    units = [tuple(int(i == j) for i in range(nv)) for j in range(nv)]
-    rows = [[form.coefficient(e) for e in units] for form in forms]
-    pivots = []
-    for col in range(nv):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][col])
-        rows[r] = [field.coerce(c * inv) for c in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[col]:
-                c = row[col]
-                rows[i] = [field.coerce(a - c * b) for a, b in zip(row, rows[r])]
-        pivots.append(col)
-    if len(pivots) == nv:
+    tails = {}
+    for g in Ideal(ring, forms).groebner():
+        (lead, _), *tail = g.terms()
+        tails[lead.index(1)] = tail
+    if len(tails) == nv:
         return 0  # the forms cut out the empty set
-    free = [j for j in range(nv) if j not in pivots]
-    sub = Ring(tuple(ring.names[j] for j in free), field)
-    ys = sub.gens()
-    images = [None] * nv
-    for j, y in zip(free, ys):
-        images[j] = y
-    for row, col in zip(rows, pivots):
-        images[col] = -sum((y * row[j] for j, y in zip(free, ys)), sub.zero())
-    gens = [g for g in substitute_linear(I.gens, images) if not g.is_zero()]
+    free = [j for j in range(nv) if j not in tails]
+    sub = Ring(tuple(ring.names[j] for j in free), ring.field)
+    images = dict(zip(free, sub.gens()))
+    for col, tail in tails.items():
+        images[col] = -sum((images[e.index(1)] * c for e, c in tail), sub.zero())
+    gens = [g for g in substitute_linear(I.gens, [images[j] for j in range(nv)]) if not g.is_zero()]
     if not gens:
         return len(free)  # chi(P^m) = m + 1
     J = Ideal(sub, gens)

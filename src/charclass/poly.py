@@ -141,9 +141,6 @@ class _Codec:
             return (key >> self.tagshift,) + xs
         return xs
 
-    def mul(self, a: int, b: int) -> int:
-        return a + b - self.one
-
     def quo(self, b: int, a: int) -> int:
         """Key of b / a; caller guarantees divisibility."""
         return b - a + self.one
@@ -181,6 +178,16 @@ class _Codec:
     def xdeg(self, key: int) -> int:
         """Total degree in the non-elimination variables."""
         return (key >> self.degshift) & 0xFFFF
+
+    def maxdeg(self, keys) -> int:
+        """Largest total degree in the non-elimination variables over `keys`.
+
+        Without a tag the grevlex lead key has the largest degree; with one,
+        the lead key has the largest tag instead, so every key is read.
+        """
+        if self.nelim:
+            return max(map(self.xdeg, keys))
+        return self.xdeg(max(keys))
 
     def tag(self, key: int) -> int:
         return key >> self.tagshift if self.nelim else 0
@@ -410,8 +417,13 @@ class Polynomial:
             a, b = b, a
         if not a:
             return self.ring.zero()
+        codec = self.ring.codec
+        # a larger degree would carry out of the packed exponent slots
+        deg = codec.maxdeg(a) + codec.maxdeg(b)
+        if deg > _SLOTMAX:
+            raise DomainError(f"product degree {deg} exceeds the maximum exponent {_SLOTMAX}")
         p = self.ring.field.p
-        one = self.ring.codec.one
+        one = codec.one
         out = {}
         for ka, ca in a.items():
             kd = ka - one
@@ -557,14 +569,14 @@ def insert_variable(ring: Ring, name: str, index: int, nelim=None) -> Ring:
     return Ring(names, ring.field, ring.nelim if nelim is None else nelim)
 
 
-def map_to_ring(f: Polynomial, target: Ring, index: int, exponent=0) -> Polynomial:
+def map_to_ring(f: Polynomial, target: Ring, index: int) -> Polynomial:
     """Reinterpret f in `target`, which has one extra variable at `index`."""
     src = f.ring.codec
     dst = target.codec
     out = {}
     for k, c in f._t.items():
         exps = src.unpack(k)
-        out[dst.pack(exps[:index] + (exponent,) + exps[index:])] = c
+        out[dst.pack(exps[:index] + (0,) + exps[index:])] = c
     return Polynomial(target, out)
 
 
@@ -603,8 +615,6 @@ def homogenize(f: Polynomial, name: str, index: int = 0) -> Polynomial:
     """
     ext = insert_variable(f.ring, name, index)
     d = f.total_degree()
-    if d <= 0:
-        return map_to_ring(f, ext, index)
     src = f.ring.codec
     dst = ext.codec
     out = {}
@@ -643,15 +653,15 @@ def substitute_linear(polys, images) -> list:
 
     All polys share one source ring; `images` holds one polynomial per source
     variable, all in the target ring (affine-linear forms restrict to a linear
-    subspace).  Each polynomial is expanded Horner-style, one variable at a
-    time, so terms sharing an exponent prefix share its products; powers of
+    subspace).  `_expand` works Horner-style, one variable at a time, on plain
+    dicts, so terms sharing an exponent prefix share its products; powers of
     each image are computed once for all polys.
     """
     images = list(images)
     target = images[0].ring
     p = target.field.p
     nv = len(images)
-    const_key = target.codec.pack((0,) * target.nvars)
+    one = target.codec.one  # key of the constant monomial
     powers = [[target.one(), img] for img in images]
 
     def power(j, e):
@@ -660,35 +670,46 @@ def substitute_linear(polys, images) -> list:
             cache.append(cache[-1] * images[j])
         return cache[e]
 
-    def reduce(acc):
-        if p:
-            return {k: r for k, v in acc.items() if (r := v % p)}
-        return {k: v for k, v in acc.items() if v}
-
-    def expand(terms, j):
-        # terms: (exponents, coefficient) pairs over variables j..nv-1
-        if j == nv:
-            return {const_key: sum(c for _, c in terms)}
-        groups = {}
-        for t in terms:
-            groups.setdefault(t[0][j], []).append(t)
-        acc = {}
-        for e, group in groups.items():
-            inner = expand(group, j + 1)
-            if e:
-                inner = (power(j, e) * Polynomial(target, reduce(inner)))._t
-            for k, v in inner.items():
-                acc[k] = acc.get(k, 0) + v
-        return acc
-
     out = []
     for f in polys:
         if f.ring.nvars != nv:
             raise DomainError(f"{nv} images for a ring with {f.ring.nvars} variables")
         unpack = f.ring.codec.unpack
         terms = [(unpack(k), c) for k, c in f._t.items()]
-        out.append(Polynomial(target, reduce(expand(terms, 0)) if terms else {}))
+        expanded = _reduce(_expand(terms, 0, power, one, p), p) if terms else {}
+        out.append(Polynomial(target, expanded))
     return out
+
+
+def _reduce(acc: dict, p: int) -> dict:
+    if p:
+        return {k: r for k, v in acc.items() if (r := v % p)}
+    return {k: v for k, v in acc.items() if v}
+
+
+def _expand(terms, j, power, one, p) -> dict:
+    """Unreduced expansion of (exponents, coefficient) `terms` from variable j.
+
+    The terms with x_j^e, expanded over the later variables, are multiplied
+    into the result against the terms of power(j, e), the cached power of
+    images[j].  Exponents are distinct, so a group at the last variable is
+    one term.  Module level: a nested recursive function is a reference
+    cycle, which keeps the power cache alive until a garbage collection.
+    """
+    groups = {}
+    for t in terms:
+        groups.setdefault(t[0][j], []).append(t)
+    last = j + 1 == len(terms[0][0])
+    acc = {}
+    for e, group in groups.items():
+        pw = power(j, e)._t
+        inner = {one: group[0][1]} if last else _reduce(_expand(group, j + 1, power, one, p), p)
+        for ki, ci in inner.items():
+            kd = ki - one
+            for kp, cp in pw.items():
+                k = kd + kp
+                acc[k] = acc.get(k, 0) + ci * cp
+    return acc
 
 
 def directional_derivative(f: Polynomial, direction) -> Polynomial:

@@ -239,10 +239,7 @@ def parse_problem(text: str) -> ProblemFile:
 
 def parse_expression(text: str, ring: Ring) -> Polynomial:
     """Parse a single polynomial expression in an existing ring."""
-    parser = _Parser.__new__(_Parser)
-    parser.tokens = _tokenize(text)
-    parser.pos = 0
-    parser.source = text
+    parser = _Parser(text)
     result = parser.expr(ring)
     tok = parser.peek()
     if tok.kind != "end":

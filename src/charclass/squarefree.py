@@ -7,8 +7,9 @@ derivative must be coprime to it); the direction is resampled on failure.
 gcd(f, g) is exact, not probabilistic: (f) meet (g) is the principal ideal
 generated by lcm(f, g), obtained from one small tag-variable elimination,
 and gcd = f*g / lcm.  A cheap certificate avoids that Groebner call in the
-common coprime case: restricting to a random 2-plane turns f and g into
-binary forms, and coprime restrictions of full degree certify gcd = 1.
+common coprime case: poly.substitute_linear restricts f and g to a random
+affine line, and coprime univariate restrictions of full degree certify
+gcd = 1.
 """
 
 from __future__ import annotations
@@ -18,50 +19,10 @@ import random
 from .errors import DomainError, GenericityError
 from .groebner import buchberger, exact_divide
 from .ideals import _tag_ring
-from .poly import Polynomial, Ring, directional_derivative, drop_variable, map_to_ring
+from .poly import (Polynomial, Ring, directional_derivative, drop_variable, map_to_ring,
+                   substitute_linear)
 
 RETRIES = 6  # random directions tried before GenericityError
-
-
-def _binary_restriction(f: Polynomial, a, b):
-    """Coefficients of f(s*a + t*b) as a binary form, listed by s-degree.
-
-    Returns a list c[0..d] with f(s*a+t*b) = sum c_i s^i t^(d-i); homogeneous
-    input of degree d is assumed.
-    """
-    field = f.ring.field
-    p = field.p
-    d = f.total_degree()
-    out = [field.coerce(0)] * (d + 1)
-    lin_pows = {}
-    for exps, c in f.terms():
-        cur = [c]
-        for j, e in enumerate(exps):
-            if not e:
-                continue
-            pw = lin_pows.get((j, e))
-            if pw is None:
-                base = [b[j], a[j]]  # t-coeff, s-coeff of (a_j s + b_j t)
-                pw = [field.coerce(1)]
-                for _ in range(e):
-                    nxt = [field.coerce(0)] * (len(pw) + 1)
-                    for i, v in enumerate(pw):
-                        if v:
-                            nxt[i] = (nxt[i] + v * base[0]) % p if p else nxt[i] + v * base[0]
-                            nxt[i + 1] = (nxt[i + 1] + v * base[1]) % p if p else nxt[i + 1] + v * base[1]
-                    pw = nxt
-                lin_pows[(j, e)] = pw
-            nxt = [field.coerce(0)] * (len(cur) + len(pw) - 1)
-            for i, v in enumerate(cur):
-                if v:
-                    for k, w in enumerate(pw):
-                        if w:
-                            nxt[i + k] = (nxt[i + k] + v * w) % p if p else nxt[i + k] + v * w
-            cur = nxt
-        for i, v in enumerate(cur):
-            if v:
-                out[i] = (out[i] + v) % p if p else out[i] + v
-    return out
 
 
 def _univ_gcd_degree(u, v, field):
@@ -94,20 +55,27 @@ def _univ_gcd_degree(u, v, field):
 def certified_coprime(f: Polynomial, g: Polynomial, rng) -> bool:
     """True only when gcd(f, g) is certainly constant.
 
-    Restrict both to a random 2-plane; if both restrictions keep full degree
-    and share no root (affine gcd trivial), any common factor would have had
-    to restrict to a common factor, so there is none.  A False return is
-    inconclusive.
+    Restrict both to the random affine line s -> s*a + b, which is the
+    2-plane spanned by a and b at t = 1; if both restrictions keep full
+    degree and share no root (affine gcd trivial), any common factor would
+    have had to restrict to a common factor, so there is none.  A False
+    return is inconclusive.
     """
-    ring = f.ring
-    field = ring.field
-    a = [field.uniform(rng) for _ in range(ring.nvars)]
-    b = [field.uniform(rng) for _ in range(ring.nvars)]
-    rf = _binary_restriction(f, a, b)
-    rg = _binary_restriction(g, a, b)
-    if not rf[-1] or not rg[-1]:
-        return False  # degenerate plane: t divides a restriction
-    return _univ_gcd_degree(rf, rg, field) <= 0
+    field = f.ring.field
+    nv = f.ring.nvars
+    a = [field.uniform(rng) for _ in range(nv)]
+    b = [field.uniform(rng) for _ in range(nv)]
+    line = Ring(("s",), field)
+    images = [line.from_exp_dict({(1,): aj, (0,): bj}) for aj, bj in zip(a, b)]
+    coeffs = []
+    for h, r in zip((f, g), substitute_linear([f, g], images)):
+        c = [field.coerce(0)] * (h.total_degree() + 1)
+        for (e,), v in r.terms():
+            c[e] = v
+        if not c[-1]:
+            return False  # degenerate line: the restriction lost degree
+        coeffs.append(c)
+    return _univ_gcd_degree(*coeffs, field) <= 0
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -2,15 +2,14 @@
 
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import charclass.ideals
-import charclass.segre
-import charclass.squarefree
+import charclass.groebner
 from charclass import (
     ClassExpr,
     DomainError,
@@ -313,6 +312,17 @@ class TestHyperplaneSections:
         # a line minus two of its points
         assert _open_by_sections([x], [y, z], rng) == 0
 
+    def test_non_monic_pivot_after_the_first_variable(self, P2, rng):
+        x, y, z = P2.gens()
+        conic = Ideal(P2, [x * y - z * z])
+        # y = -3z/2 cuts two points; the tangent conic below one double point
+        assert _section_euler(conic, (2 * y + 3 * z,), "symbolic", rng) == 2
+        tangent = Ideal(P2, [(x - z) * (x - z) + y * (2 * y + 3 * z)])
+        assert _section_euler(tangent, (2 * y + 3 * z,), "symbolic", rng) == 1
+        # dependent forms: pivots in later columns, x the only free variable
+        assert _section_euler(conic, (2 * y + 3 * z, 4 * y + 6 * z), "symbolic", rng) == 2
+        assert _section_euler(conic, (y, z, y + z), "symbolic", rng) == 1
+
     def test_ml_degree_never_builds_the_product(self, monkeypatch):
         # the censoring surface is a cubic; the product hypersurface of the
         # open set had degree 8
@@ -588,12 +598,15 @@ class TestRationalBoundary:
     def basis_fields(self, monkeypatch):
         """Characteristics of the rings every Groebner basis is computed in."""
         fields = []
-        for module in (charclass.ideals, charclass.segre, charclass.squarefree):
-            def spy(polys, _real=module.buchberger):
-                fields.extend(f.ring.field.p for f in polys)
-                return _real(polys)
+        real = charclass.groebner.buchberger
 
-            monkeypatch.setattr(module, "buchberger", spy)
+        def spy(polys):
+            fields.extend(f.ring.field.p for f in polys)
+            return real(polys)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("charclass.") and getattr(module, "buchberger", None) is real:
+                monkeypatch.setattr(module, "buchberger", spy)
         return fields
 
     @pytest.mark.parametrize("call, expected", RATIONAL_ENTRY_POINTS)

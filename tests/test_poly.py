@@ -19,6 +19,7 @@ from charclass import (
     squarefree_part,
 )
 from charclass.poly import _SLOTMAX, _Codec, change_field, substitute_linear
+from charclass.squarefree import certified_coprime
 
 from helpers import PRIME, lcm_oracle, scalar_equal
 
@@ -109,6 +110,25 @@ class TestArith:
         x, y = ring.gens()
         f = x * Fraction(1, 2) + y
         assert f * 2 == x + 2 * y
+
+    @pytest.mark.parametrize("product", [
+        lambda x, y: x**32768,
+        lambda x, y: x**20000 * x**20000,
+        lambda x, y: x**16384 * x**16384,
+        # on a tag ring the lead key t*x is not the term of largest degree
+        lambda x, y: (x.ring.var(0) * x + y**20000) * y**20000,
+    ], ids=["pow", "product", "square", "lead-not-largest"])
+    @pytest.mark.parametrize("nelim", [0, 1])
+    def test_product_beyond_the_exponent_slots_is_refused(self, product, nelim):
+        ring = Ring(("t", "x", "y"), FieldSpec(0), nelim)
+        _, x, y = ring.gens()
+        with pytest.raises(DomainError):
+            product(x, y)
+
+    def test_largest_exponent_power(self):
+        ring = Ring(("x", "y", "z"), FieldSpec(0))
+        x, _, _ = ring.gens()
+        assert (x**32767).terms() == [((_SLOTMAX, 0, 0), 1)]
 
 
 class TestGrevlex:
@@ -299,6 +319,26 @@ class TestGcd:
             d = poly_gcd(a * b, a * c)
             exact_divide(a * b, d)
             exact_divide(a * c, d)
+
+
+class TestCertifiedCoprime:
+    @pytest.mark.parametrize("field", [FieldSpec(PRIME), FieldSpec(0)], ids=["gfp", "qq"])
+    def test_coprime_forms_are_certified(self, field):
+        ring = Ring(("x", "y", "z"), field)
+        for seed in range(10):
+            rng = random.Random(seed)
+            f, g = ring.random_form(2, rng), ring.random_form(3, rng)
+            assert poly_gcd(f, g).is_constant()
+            assert certified_coprime(f, g, rng)
+
+    @pytest.mark.parametrize("field", [FieldSpec(PRIME), FieldSpec(0)], ids=["gfp", "qq"])
+    def test_shared_factor_is_never_certified(self, field):
+        ring = Ring(("x", "y", "z"), field)
+        for seed in range(50):
+            rng = random.Random(seed)
+            h = ring.random_form(rng.randrange(1, 3), rng)
+            f, g = ring.random_form(1, rng), ring.random_form(2, rng)
+            assert not certified_coprime(h * f, h * g, rng)
 
 
 class TestEvaluate:
