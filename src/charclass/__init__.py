@@ -30,7 +30,6 @@ from .poly import (
     FieldSpec,
     Polynomial,
     Ring,
-    dehomogenize,
     directional_derivative,
     homogenize,
 )
@@ -38,7 +37,6 @@ from .squarefree import poly_gcd, squarefree_part
 from .groebner import (
     buchberger,
     exact_divide,
-    is_groebner_basis,
     normal_form,
     s_polynomial,
 )
@@ -46,7 +44,6 @@ from .ideals import (
     Ideal,
     SchemeStats,
     dimension_and_degree,
-    groebner_basis,
     ideal_quotient,
     intersect,
     jacobian_ideal,
@@ -87,11 +84,10 @@ from .problemfile import ProblemFile, parse_expression, parse_problem
 __all__ = [
     "CharclassError", "DomainError", "GenericityError", "NumericBackendError",
     "ParseError", "ResourceError",
-    "FieldSpec", "Ring", "Polynomial", "homogenize", "dehomogenize",
+    "FieldSpec", "Ring", "Polynomial", "homogenize",
     "directional_derivative", "squarefree_part", "poly_gcd",
-    "buchberger", "normal_form", "s_polynomial", "is_groebner_basis",
-    "exact_divide",
-    "Ideal", "SchemeStats", "groebner_basis", "dimension_and_degree",
+    "buchberger", "normal_form", "s_polynomial", "exact_divide",
+    "Ideal", "SchemeStats", "dimension_and_degree",
     "ideal_quotient", "saturation", "intersect", "jacobian_ideal",
     "random_element_of_degree",
     "ResidualDegrees", "SegreDegrees", "residual_degrees_symbolic",

@@ -4,15 +4,19 @@ maximum likelihood degrees.
 The pipeline for a hypersurface V(f) in P^n:
 
   1. replace f by its squarefree part (the answer only sees the support),
-  2. take the Jacobian ideal; its generators share degree r = deg f - 1,
-  3. get the Segre class degrees of the singular scheme (segre module),
-  4. pad them into integers s~_0..s~_n and convert to the shadow
-         g_j = sum_i C(j,i) r^(j-i) s~_i,
-  5. push forward:  i_* c_SM = (1+H)^(n+1) - sum_j g_j (-H)^j (1+H)^(n-j)
+  2. take the Jacobian ideal J; its generators share degree r = deg f - 1,
+  3. read off the shadow g_0..g_n of the graph of the gradient map, which
+     is the list of the map's projective degrees: g_j = r^j below the
+     codimension c of the singular locus V(J), and g_j = deg R_j, the
+     residual degree of J cut in degree r (segre module), from c on
+     (Helmer, arXiv:1402.2930); a smooth V(f) has g_j = r^j throughout,
+  4. push forward:  i_* c_SM = (1+H)^(n+1) - sum_j g_j (-H)^j (1+H)^(n-j)
      in Z[H]/(H^(n+1)).
 
-The same degrees also come straight from the s~_i by an explicit double
-sum (csm_degrees_from_segre); the hypersurface routine cross-checks both.
+The Segre degrees of V(J) solved from the same residuals, padded into
+integers s~_0..s~_n, give the degrees again by an explicit double sum
+(csm_degrees_from_segre); the hypersurface routine cross-checks both.  The
+shadow is also g_j = sum_i C(j,i) r^(j-i) s~_i (shadow_from_segre).
 
 A subscheme V(G) is one inclusion-exclusion over generator products
 (Aluffi): 1_{V(G)} = sum_{S nonempty} (-1)^(|S|+1) 1_{V(f_S)} with f_S the
@@ -36,10 +40,11 @@ import operator
 import random
 from dataclasses import dataclass, field
 
+from . import segre
 from .errors import DomainError, GenericityError, ResourceError
 from .ideals import Ideal, dimension_and_degree, jacobian_ideal
 from .poly import Polynomial, Ring, homogenize, insert_variable, substitute_linear
-from .segre import SegreDegrees, on_prime_images, segre_degrees
+from .segre import SegreDegrees, check_s0, on_prime_images, segre_from_residuals
 from .squarefree import squarefree_part
 
 log = logging.getLogger(__name__)
@@ -71,26 +76,12 @@ class ClassExpr:
         self._check(other)
         return ClassExpr(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ClassExpr(self.n, tuple(a * other for a in self.coeffs))
-        self._check(other)
-        out = [0] * (self.n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b and i + j <= self.n:
-                        out[i + j] += a * b
-        return ClassExpr(self.n, tuple(out))
-
-    __rmul__ = __mul__
+    def __mul__(self, scalar: int):
+        return ClassExpr(self.n, tuple(a * scalar for a in self.coeffs))
 
     def _check(self, other):
         if self.n != other.n:
             raise DomainError("ambient dimensions differ")
-
-    def coefficient(self, j: int) -> int:
-        return self.coeffs[j]
 
     def __str__(self):
         parts = []
@@ -219,9 +210,11 @@ def csm_hypersurface(f: Polynomial, backend: str = "symbolic", rng=None) -> CsmR
     """CSM class data of the hypersurface V(f) in P^n.
 
     f is replaced by its squarefree part before the Jacobian ideal is taken.
-    The shadow route and the direct degree formula are cross-checked.  A
-    rational f runs on GF(p) images with the symbolic backend (see
-    segre.on_prime_images).
+    A singular V(f) draws the residuals of the Jacobian ideal once; the
+    shadow route and the direct degree formula on the Segre degrees solved
+    from them are cross-checked, and deg s_0 must reach the Hilbert degree
+    of the singular scheme (segre.check_s0).  A rational f runs on GF(p)
+    images with the symbolic backend (see segre.on_prime_images).
     """
     rng = rng or random.Random()
     if f.is_zero() or f.is_constant():
@@ -238,14 +231,18 @@ def csm_hypersurface(f: Polynomial, backend: str = "symbolic", rng=None) -> CsmR
     fred = squarefree_part(f, rng)
     r = fred.total_degree() - 1
     jac = jacobian_ideal(fred)
-    if dimension_and_degree(jac).dim < 0:
-        segre = None  # smooth hypersurface
-    else:
-        segre = segre_degrees(jac, backend=backend, rng=rng)
-    profile = SegreProfile.from_segre(n, r, segre)
-    push = csm_from_shadow(shadow_from_segre(profile))
+    stats = dimension_and_degree(jac)
+    shadow = [r ** j for j in range(n + 1)]
+    singular_segre = None  # Segre degrees of V(jac); none for a smooth V(f)
+    if stats.dim >= 0:
+        R = segre._residuals(jac, backend, rng, r)
+        for j in R.levels():
+            shadow[j] = R.degrees[j]
+        singular_segre = segre_from_residuals(R)
+        check_s0(singular_segre, stats.degree)
+    push = csm_from_shadow(ClassExpr(n, tuple(shadow)))
     degrees = tuple(push.coeffs[1:])
-    check = csm_degrees_from_segre(profile)
+    check = csm_degrees_from_segre(SegreProfile.from_segre(n, r, singular_segre))
     if degrees != check:
         raise DomainError(
             f"internal cross-check failed: shadow route {degrees} vs formula {check}"

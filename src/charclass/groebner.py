@@ -268,16 +268,6 @@ def interreduce(polys) -> list:
     return out
 
 
-def is_groebner_basis(polys) -> bool:
-    """Buchberger criterion: every S-polynomial reduces to zero."""
-    polys = [f for f in polys if f]
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            if normal_form(s_polynomial(polys[i], polys[j]), polys):
-                return False
-    return True
-
-
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient f / g when g divides f exactly; DomainError otherwise."""
     if not g:

@@ -29,10 +29,6 @@ def poly_sub(a, b):
     return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
 
 
-def poly_eval_one(a):
-    return sum(a)
-
-
 def one_minus_t_power(d):
     """1 - t^d as a coefficient list (d >= 1)."""
     out = [0] * (d + 1)
@@ -68,68 +64,68 @@ def numerator(gens, nvars: int):
     gens: iterable of exponent tuples of length nvars.  Returns N(t) as a
     list of ints; an all-zero list signals the unit ideal.
     """
-    gens = [tuple(m) for m in gens]
-    memo = {}
+    return _numerator([tuple(m) for m in gens], {})
 
-    def base_case(ms, mixed):
-        # pure powers (distinct variables after minimalization) + <= 1 mixed
-        pures = [m for m in ms if m not in mixed]
-        n = [1]
-        for m in pures:
-            n = poly_mul(n, one_minus_t_power(sum(m)))
-        if not mixed:
-            return n
-        m = mixed[0]
-        colon = [1]
-        for q in pures:
-            d = sum(q) - sum(min(e, f) for e, f in zip(q, m))
-            colon = poly_mul(colon, one_minus_t_power(d))  # d >= 1 by minimality
-        shifted = [0] * sum(m) + colon
-        return poly_sub(n, shifted)
 
-    def rec(ms):
-        ms = minimalize(ms)
-        if not ms:
-            return [1]
-        if any(sum(m) == 0 for m in ms):
-            return [0]
-        key = frozenset(ms)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        mixed = [m for m in ms if sum(1 for e in m if e) > 1]
-        if len(mixed) <= 1:
-            result = base_case(ms, mixed)
-        elif _pairwise_coprime(ms):
-            result = [1]
-            for m in ms:
-                result = poly_mul(result, one_minus_t_power(sum(m)))
-        else:
-            # pivot on the variable hitting the most generators
-            nv = len(ms[0])
-            counts = [0] * nv
-            for m in ms:
-                for j, e in enumerate(m):
-                    if e:
-                        counts[j] += 1
-            v = max(range(nv), key=lambda j: counts[j])
-            xv = tuple(1 if j == v else 0 for j in range(nv))
-            plus = [m for m in ms if m[v] == 0] + [xv]
-            colon = [
-                tuple(e - 1 if j == v and e else e for j, e in enumerate(m))
-                for m in ms
-            ]
-            left = rec(plus)
-            shifted = [0] + rec(colon)
-            result = [
-                (left[i] if i < len(left) else 0)
-                + (shifted[i] if i < len(shifted) else 0)
-                for i in range(max(len(left), len(shifted)))
-            ]
-        memo[key] = result
-        return result
+def _base_case(ms, mixed):
+    # pure powers (distinct variables after minimalization) + <= 1 mixed
+    pures = [m for m in ms if m not in mixed]
+    n = [1]
+    for m in pures:
+        n = poly_mul(n, one_minus_t_power(sum(m)))
+    if not mixed:
+        return n
+    m = mixed[0]
+    colon = [1]
+    for q in pures:
+        d = sum(q) - sum(min(e, f) for e, f in zip(q, m))
+        colon = poly_mul(colon, one_minus_t_power(d))  # d >= 1 by minimality
+    shifted = [0] * sum(m) + colon
+    return poly_sub(n, shifted)
 
-    return rec(gens)
+
+def _numerator(ms, memo):
+    """The pivot recursion; memo maps a minimal generating set to its N(t)."""
+    ms = minimalize(ms)
+    if not ms:
+        return [1]
+    if any(sum(m) == 0 for m in ms):
+        return [0]
+    key = frozenset(ms)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    mixed = [m for m in ms if sum(1 for e in m if e) > 1]
+    if len(mixed) <= 1:
+        result = _base_case(ms, mixed)
+    elif _pairwise_coprime(ms):
+        result = [1]
+        for m in ms:
+            result = poly_mul(result, one_minus_t_power(sum(m)))
+    else:
+        # pivot on the variable hitting the most generators
+        nv = len(ms[0])
+        counts = [0] * nv
+        for m in ms:
+            for j, e in enumerate(m):
+                if e:
+                    counts[j] += 1
+        v = max(range(nv), key=lambda j: counts[j])
+        xv = tuple(1 if j == v else 0 for j in range(nv))
+        plus = [m for m in ms if m[v] == 0] + [xv]
+        colon = [
+            tuple(e - 1 if j == v and e else e for j, e in enumerate(m))
+            for m in ms
+        ]
+        left = _numerator(plus, memo)
+        shifted = [0] + _numerator(colon, memo)
+        result = [
+            (left[i] if i < len(left) else 0)
+            + (shifted[i] if i < len(shifted) else 0)
+            for i in range(max(len(left), len(shifted)))
+        ]
+    memo[key] = result
+    return result
 
 
 def dimension_degree(gens, nvars: int):
@@ -143,7 +139,7 @@ def dimension_degree(gens, nvars: int):
     if all(c == 0 for c in n):
         return 0, None
     e = 0
-    while poly_eval_one(n) == 0:
+    while sum(n) == 0:
         # synthetic division by (1 - t): q_i = sum_{j <= i} a_j
         q = []
         acc = 0
@@ -153,5 +149,5 @@ def dimension_degree(gens, nvars: int):
         n = q if q else [0]
         e += 1
     dim = nvars - e
-    degree = poly_eval_one(n)
+    degree = sum(n)
     return dim, degree

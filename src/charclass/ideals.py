@@ -83,11 +83,6 @@ class Ideal:
         return max((g.total_degree() for g in self.gens), default=0)
 
 
-def groebner_basis(I: Ideal) -> list:
-    """The reduced Groebner basis of I (grevlex)."""
-    return list(I.groebner())
-
-
 def dimension_and_degree(I: Ideal) -> SchemeStats:
     """Projective dimension and degree of Proj(S/I) via Hilbert series.
 

@@ -624,30 +624,6 @@ def homogenize(f: Polynomial, name: str, index: int = 0) -> Polynomial:
     return Polynomial(ext, out)
 
 
-def dehomogenize(f: Polynomial, index: int) -> Polynomial:
-    """Substitute 1 for variable `index`, returning a polynomial without it."""
-    ring = f.ring
-    names = ring.names[:index] + ring.names[index + 1:]
-    target = Ring(names, ring.field, ring.nelim)
-    src = ring.codec
-    dst = target.codec
-    p = ring.field.p
-    out = {}
-    for k, c in f._t.items():
-        exps = src.unpack(k)
-        nk = dst.pack(exps[:index] + exps[index + 1:])
-        v = out.get(nk)
-        if v is None:
-            out[nk] = c
-        else:
-            v = (v + c) % p if p else v + c
-            if v:
-                out[nk] = v
-            else:
-                del out[nk]
-    return Polynomial(target, out)
-
-
 def substitute_linear(polys, images) -> list:
     """Substitute images[j] for variable j in each polynomial of `polys`.
 

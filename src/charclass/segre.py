@@ -276,8 +276,7 @@ def segre_degrees(
     command with fresh randomness instead.  A rational ideal runs on GF(p)
     images (on_prime_images) with the symbolic backend and stays exact with
     the numeric one.  deg s_0 below the Hilbert degree of I raises
-    GenericityError: at each top-dimensional component the Samuel
-    multiplicity is at least the length, so deg s_0 >= deg I always holds.
+    GenericityError (check_s0).
     """
     rng = rng or random.Random()
     if backend == "symbolic" and not I.ring.field.p:
@@ -288,15 +287,26 @@ def segre_degrees(
     if stats.dim < 0:
         raise DomainError("Segre degrees need a nonempty scheme")
     out = segre_from_residuals(_residuals(I, backend, rng, m))
-    if out.values[0] < stats.degree:
-        raise GenericityError(
-            f"deg s_0 = {out.values[0]} below the Hilbert degree {stats.degree}; "
-            "residuals suspect"
-        )
+    check_s0(out, stats.degree)
     return out
 
 
+def check_s0(segre: SegreDegrees, degree: int) -> None:
+    """Refuse deg s_0 below the Hilbert degree of the scheme.
+
+    At each top-dimensional component the Samuel multiplicity is at least
+    the length, so deg s_0 >= deg I always holds; a smaller value means the
+    residuals were not generic and raises GenericityError.
+    """
+    if segre.values[0] < degree:
+        raise GenericityError(
+            f"deg s_0 = {segre.values[0]} below the Hilbert degree {degree}; "
+            "residuals suspect"
+        )
+
+
 def _residuals(I, backend, rng, m):
+    """ResidualDegrees of V(I) from the named backend."""
     if backend == "symbolic":
         return residual_degrees_symbolic(I, rng, m)
     if backend == "numeric":

@@ -11,7 +11,9 @@ the removed hypersurface into every generator product, as the library did
 before it cut open sets by hyperplane sections.  The ML degree from the
 likelihood equations uses neither inclusion-exclusion nor Euler
 characteristics.  Residual degrees by iterated saturation are the reference
-for the sliced GF(p) count.
+for the sliced GF(p) count.  The Buchberger criterion checks a basis by its
+S-polynomials alone, and dehomogenization is the inverse homogenization is
+checked against.
 """
 
 from __future__ import annotations
@@ -31,12 +33,16 @@ from charclass import (
     DomainError,
     GenericityError,
     Ideal,
+    Polynomial,
     ResidualDegrees,
+    Ring,
     csm_hypersurface,
     dimension_and_degree,
     euler_characteristic,
     jacobian_ideal,
+    normal_form,
     random_element_of_degree,
+    s_polynomial,
     saturation,
 )
 
@@ -156,6 +162,40 @@ def lcm_oracle(codec, a: int, b: int) -> int:
     ea = codec.unpack(a)
     eb = codec.unpack(b)
     return codec.pack(tuple(max(x, y) for x, y in zip(ea, eb)))
+
+
+def is_groebner_basis(polys) -> bool:
+    """Buchberger criterion: every S-polynomial reduces to zero."""
+    polys = [f for f in polys if f]
+    for i in range(len(polys)):
+        for j in range(i + 1, len(polys)):
+            if normal_form(s_polynomial(polys[i], polys[j]), polys):
+                return False
+    return True
+
+
+def dehomogenize(f: Polynomial, index: int) -> Polynomial:
+    """Substitute 1 for variable `index`, returning a polynomial without it."""
+    ring = f.ring
+    names = ring.names[:index] + ring.names[index + 1:]
+    target = Ring(names, ring.field, ring.nelim)
+    src = ring.codec
+    dst = target.codec
+    p = ring.field.p
+    out = {}
+    for k, c in f._t.items():
+        exps = src.unpack(k)
+        nk = dst.pack(exps[:index] + exps[index + 1:])
+        v = out.get(nk)
+        if v is None:
+            out[nk] = c
+        else:
+            v = (v + c) % p if p else v + c
+            if v:
+                out[nk] = v
+            else:
+                del out[nk]
+    return Polynomial(target, out)
 
 
 def scalar_equal(f, g) -> bool:

@@ -16,6 +16,7 @@ from charclass import (
     FieldSpec,
     GenericityError,
     Ideal,
+    ResidualDegrees,
     Ring,
     SegreProfile,
     affine_euler,
@@ -24,15 +25,18 @@ from charclass import (
     csm_hypersurface,
     csm_subscheme,
     euler_characteristic,
+    jacobian_ideal,
     ml_degree,
     parse_problem,
     poly_gcd,
     segre_degrees,
     segre_from_shadow,
     shadow_from_segre,
+    squarefree_part,
 )
 
 import charclass.csm as csm
+import charclass.segre as segre
 from charclass import cli
 from charclass.csm import _euler_off_hyperplanes, _section_euler
 
@@ -181,6 +185,106 @@ class TestHypersurfaces:
     def test_rejects_constant(self, P2, rng):
         with pytest.raises(DomainError):
             csm_hypersurface(P2.const(2), rng=rng)
+
+
+def _pinned_shadow_cases():
+    """Singular hypersurfaces with their pinned shadows g_0..g_n."""
+    F = FieldSpec(PRIME)
+    x, y, z = Ring(("x", "y", "z"), F).gens()
+    P3 = Ring(("x", "y", "z", "w"), F)
+    a, b, c, d = P3.gens()
+    u = Ring(tuple(f"x{i}" for i in range(6)), F).gens()
+    rng = random.Random(5)
+    quadrics = [P3.random_form(2, rng) for _ in range(3)]
+    return [
+        pytest.param(x**3 + x * x * z - y * y * z, (1, 2, 3), id="nodal_cubic"),
+        pytest.param(a * b * c * d * (a + b + c + d), (1, 4, 6, 4), id="planes_xyzw_sum"),
+        pytest.param((a * b - c * d) ** 2 * a, (1, 2, 2, 1), id="double_quadric_times_plane"),
+        pytest.param(
+            (u[0] * u[4] - u[1] * u[3]) * (u[0] * u[5] - u[2] * u[3]) * (u[1] * u[5] - u[2] * u[4]),
+            (1, 5, 10, 10, 5, 1), id="p1xp2_triple_product"),
+        pytest.param(quadrics[0] * quadrics[1] * quadrics[2], (1, 5, 13, 25),
+                     id="three_random_quadrics"),
+    ]
+
+
+class TestShadowFromResiduals:
+    """The shadow is read off the Jacobian's residual degrees, not its Segre class."""
+
+    @pytest.mark.parametrize("f, expected", _pinned_shadow_cases())
+    def test_pinned_shadow_matches_the_segre_route(self, f, expected, monkeypatch):
+        shadows = []
+        original = csm.csm_from_shadow
+
+        def spy(G):
+            shadows.append(G.coeffs)
+            return original(G)
+
+        monkeypatch.setattr(csm, "csm_from_shadow", spy)
+        csm_hypersurface(f, rng=random.Random(11))
+        # the route the hypersurface class took before: padded Segre degrees
+        rng = random.Random(12)
+        fred = squarefree_part(f, rng)
+        segre_route = shadow_from_segre(SegreProfile.from_segre(
+            f.ring.nvars - 1, fred.total_degree() - 1,
+            segre_degrees(jacobian_ideal(fred), rng=rng)))
+        assert shadows == [expected] == [segre_route.coeffs]
+
+    def test_one_residual_draw_per_singular_hypersurface(
+        self, nodal_cubic, twisted_cubic, P2, monkeypatch
+    ):
+        segre_calls, residual_calls = [], []
+        original_segre, original_residuals = segre.segre_degrees, segre._residuals
+
+        def segre_spy(*args, **kwargs):
+            segre_calls.append(args)
+            return original_segre(*args, **kwargs)
+
+        def residual_spy(*args, **kwargs):
+            residual_calls.append(args)
+            return original_residuals(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("charclass.") and getattr(module, "segre_degrees", None) is original_segre:
+                monkeypatch.setattr(module, "segre_degrees", segre_spy)
+        monkeypatch.setattr(segre, "_residuals", residual_spy)
+        rng = random.Random(3)
+        assert csm_hypersurface(nodal_cubic, rng=rng).degrees == (3, 1)
+        assert len(residual_calls) == 1
+        x, y, z = P2.gens()
+        assert csm_hypersurface(x * x + y * y + z * z, rng=rng).euler == 2
+        assert len(residual_calls) == 1  # a smooth conic draws no residuals
+        assert csm_subscheme(twisted_cubic, rng=rng).euler == 2
+        assert segre_calls == []
+
+    def test_lowered_s0_is_refused(self, nodal_cubic, rng, monkeypatch):
+        # one more residual point at the first level gives s_0 = 0 < 1
+        real = segre.residual_degrees_symbolic
+
+        def inflated(I, *args, **kwargs):
+            res = real(I, *args, **kwargs)
+            first = res.n - res.k
+            return ResidualDegrees(res.n, res.k, res.m,
+                                   {**res.degrees, first: res.degrees[first] + 1})
+
+        monkeypatch.setattr(segre, "residual_degrees_symbolic", inflated)
+        with pytest.raises(GenericityError, match="Hilbert degree 1"):
+            csm_hypersurface(nodal_cubic, rng=rng)
+
+
+class TestHyperplaneArrangements:
+    """k generic hyperplanes in P^n: chi(P^n minus their union) = (-1)^n C(k-2, n)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_complement_euler(self, n, k):
+        R = Ring(tuple(f"x{i}" for i in range(n + 1)), FieldSpec(PRIME))
+        rng = random.Random(100 * n + k)
+        forms = [R.random_form(1, rng) for _ in range(k)]
+        chi_open = (-1) ** n * math.comb(k - 2, n)
+        product = math.prod(forms[1:], start=forms[0])
+        assert csm_hypersurface(product, rng=rng).euler == n + 1 - chi_open
+        assert _euler_off_hyperplanes(Ideal(R, []), forms, n + 1, "symbolic", rng) == chi_open
 
 
 class TestSubschemes:

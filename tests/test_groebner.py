@@ -12,14 +12,13 @@ from charclass import (
     Ring,
     buchberger,
     exact_divide,
-    is_groebner_basis,
     normal_form,
     s_polynomial,
 )
 from charclass.groebner import interreduce
 from charclass.ideals import Ideal, intersect
 
-from helpers import PRIME
+from helpers import PRIME, is_groebner_basis
 
 
 def test_already_reduced(P2):

@@ -1,5 +1,6 @@
 """Hilbert numerators of monomial ideals against brute-force counts."""
 
+import gc
 import itertools
 from math import comb
 
@@ -46,3 +47,14 @@ def test_series_counts_standard_monomials(ideal):
 def test_pure_powers_dimension_degree(a, b):
     # (x^a, y^b) in k[x, y, z]: a line's worth of a*b points, dim 1, degree a*b
     assert dimension_degree([(a, 0, 0), (0, b, 0)], 3) == (1, a * b)
+
+
+def test_dimension_degree_leaves_no_reference_cycle():
+    gens = [(2, 0, 0), (1, 1, 0), (0, 2, 1), (0, 0, 3)]
+    gc.collect()
+    gc.disable()
+    try:
+        assert dimension_degree(gens, 3) == (1, 1)  # the point [0:1:0]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

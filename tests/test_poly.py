@@ -12,7 +12,6 @@ from charclass import (
     FieldSpec,
     Polynomial,
     Ring,
-    dehomogenize,
     directional_derivative,
     homogenize,
     poly_gcd,
@@ -21,7 +20,7 @@ from charclass import (
 from charclass.poly import _SLOTMAX, _Codec, change_field, substitute_linear
 from charclass.squarefree import certified_coprime
 
-from helpers import PRIME, lcm_oracle, scalar_equal
+from helpers import PRIME, dehomogenize, lcm_oracle, scalar_equal
 
 
 def rand_poly(ring, rng, deg=3, terms=5):
