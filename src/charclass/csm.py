@@ -37,14 +37,13 @@ import itertools
 import logging
 import math
 import operator
-import random
 from dataclasses import dataclass, field
 
 from . import segre
 from .errors import DomainError, GenericityError, ResourceError
 from .ideals import Ideal, dimension_and_degree, jacobian_ideal
 from .poly import Polynomial, Ring, homogenize, insert_variable, substitute_linear
-from .segre import SegreDegrees, check_s0, on_prime_images, segre_from_residuals
+from .segre import SegreDegrees, on_prime_images, segre_from_residuals
 from .squarefree import squarefree_part
 
 log = logging.getLogger(__name__)
@@ -206,6 +205,7 @@ def csm_degrees_from_segre(sp: SegreProfile) -> tuple:
     return tuple(out)
 
 
+@on_prime_images
 def csm_hypersurface(f: Polynomial, backend: str = "symbolic", rng=None) -> CsmResult:
     """CSM class data of the hypersurface V(f) in P^n.
 
@@ -213,10 +213,9 @@ def csm_hypersurface(f: Polynomial, backend: str = "symbolic", rng=None) -> CsmR
     A singular V(f) draws the residuals of the Jacobian ideal once; the
     shadow route and the direct degree formula on the Segre degrees solved
     from them are cross-checked, and deg s_0 must reach the Hilbert degree
-    of the singular scheme (segre.check_s0).  A rational f runs on GF(p)
+    of the singular scheme (segre._residuals).  A rational f runs on GF(p)
     images with the symbolic backend (see segre.on_prime_images).
     """
-    rng = rng or random.Random()
     if f.is_zero() or f.is_constant():
         raise DomainError("hypersurface needs a nonconstant polynomial")
     if not f.is_homogeneous():
@@ -224,22 +223,16 @@ def csm_hypersurface(f: Polynomial, backend: str = "symbolic", rng=None) -> CsmR
     n = f.ring.nvars - 1
     if n < 1:
         raise DomainError("ambient P^0 has no hypersurfaces")
-    if backend == "symbolic" and not f.ring.field.p:
-        return on_prime_images(
-            [f], f.ring, rng,
-            lambda images, _ring: csm_hypersurface(images[0], backend, rng))
     fred = squarefree_part(f, rng)
     r = fred.total_degree() - 1
     jac = jacobian_ideal(fred)
-    stats = dimension_and_degree(jac)
     shadow = [r ** j for j in range(n + 1)]
     singular_segre = None  # Segre degrees of V(jac); none for a smooth V(f)
-    if stats.dim >= 0:
+    if dimension_and_degree(jac).dim >= 0:
         R = segre._residuals(jac, backend, rng, r)
         for j in R.levels():
             shadow[j] = R.degrees[j]
         singular_segre = segre_from_residuals(R)
-        check_s0(singular_segre, stats.degree)
     push = csm_from_shadow(ClassExpr(n, tuple(shadow)))
     degrees = tuple(push.coeffs[1:])
     check = csm_degrees_from_segre(SegreProfile.from_segre(n, r, singular_segre))
@@ -250,6 +243,7 @@ def csm_hypersurface(f: Polynomial, backend: str = "symbolic", rng=None) -> CsmR
     return CsmResult(push, degrees, push.coeffs[n], n - 1)
 
 
+@on_prime_images
 def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None) -> CsmResult:
     """CSM class data of V(I) by inclusion-exclusion over generator products.
 
@@ -269,11 +263,6 @@ def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None) -> CsmResult:
             f"inclusion-exclusion over {s} generators needs 2^{s} "
             "hypersurface computations; refusing"
         )
-    rng = rng or random.Random()
-    if backend == "symbolic" and not I.ring.field.p:
-        return on_prime_images(
-            gens, I.ring, rng,
-            lambda images, ring: csm_subscheme(Ideal(ring, images), backend, rng))
     stats = dimension_and_degree(I)
     if stats.dim < 0:
         raise DomainError("empty scheme: CSM classes are not defined")
@@ -359,8 +348,8 @@ def affine_euler(
     need no special case.  With `homvar` naming a variable of an already
     homogeneous input, that variable plays x_0 instead and no new variable
     is added.  An empty projective closure is a domain error.  Rational
-    input runs on GF(p) images with the symbolic backend (see
-    segre.on_prime_images).
+    input runs on GF(p) images of the closure with the symbolic backend
+    (see segre.on_prime_images); homogenizing draws nothing.
     """
     gens = list(gens)
     if ring is None:
@@ -369,25 +358,20 @@ def affine_euler(
         ring = gens[0].ring
     if homvar is not None and homvar not in ring.names:
         raise DomainError(f"homogenizing variable {homvar!r} not in ring")
-    rng = rng or random.Random()
-    if backend == "symbolic" and not ring.field.p:
-        return on_prime_images(
-            gens, ring, rng,
-            lambda images, image_ring: affine_euler(images, image_ring, backend, rng, homvar))
-    if homvar is not None:
-        hgens = gens
-        hring = ring
-        hv = ring.var(ring.names.index(homvar))
-    else:
-        name = _fresh_name(ring.names)
-        hring = insert_variable(ring, name, 0)
-        hgens = [homogenize(g, name, 0) for g in gens if not g.is_zero()]
-        hv = hring.var(0)
-    closure = Ideal(hring, hgens)
+    if homvar is None:
+        homvar = _fresh_name(ring.names)
+        ring = insert_variable(ring, homvar, 0)
+        gens = [homogenize(g, homvar, 0) for g in gens if not g.is_zero()]
+    return _affine_part_euler(Ideal(ring, gens), ring.names.index(homvar), backend, rng)
+
+
+@on_prime_images
+def _affine_part_euler(closure: Ideal, hv: int, backend: str = "symbolic", rng=None) -> int:
+    """chi(closure minus the hyperplane of its variable hv)."""
     if dimension_and_degree(closure).dim < 0:
         raise DomainError("empty scheme: the projective closure is empty")
     chi = csm_subscheme(closure, backend=backend, rng=rng).euler
-    return _euler_off_hyperplanes(closure, [hv], chi, backend, rng)
+    return _euler_off_hyperplanes(closure, [closure.ring.var(hv)], chi, backend, rng)
 
 
 def _fresh_name(names):
@@ -407,6 +391,7 @@ class MlResult:
     warnings: tuple = field(default_factory=tuple)
 
 
+@on_prime_images
 def ml_degree(I: Ideal, backend: str = "symbolic", rng=None) -> MlResult:
     """Maximum likelihood degree of the model X = V(I) in probability
     coordinates p_0..p_n.
@@ -420,12 +405,7 @@ def ml_degree(I: Ideal, backend: str = "symbolic", rng=None) -> MlResult:
     warnings, not checked).  A rational ideal runs on GF(p) images with the
     symbolic backend (see segre.on_prime_images).
     """
-    rng = rng or random.Random()
     ring = I.ring
-    if backend == "symbolic" and not ring.field.p:
-        return on_prime_images(
-            I.gens, ring, rng,
-            lambda images, image_ring: ml_degree(Ideal(image_ring, images), backend, rng))
     forms = ring.gens() + [sum(ring.gens(), ring.zero())]
     model = csm_subscheme(I, backend=backend, rng=rng)
     chi_u = _euler_off_hyperplanes(I, forms, model.euler, backend, rng)

@@ -29,8 +29,9 @@ No information flows between levels (no cascade reuse): each level gets
 fresh random data.
 
 The tolerances and limits (corrector and on-variety tolerances, step sizes,
-Newton iterations, level retries) are the module constants below; no
-argument overrides them.
+Newton iterations) are the module constants below; no argument overrides
+them.  The levels and their retries are segre.level_degrees', shared with
+the symbolic backend.
 
 numpy is loaded on the first numeric call, not at import, so a symbolic run
 never executes it.
@@ -46,9 +47,9 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, NumericBackendError
-from .ideals import Ideal, dimension_and_degree
-from .segre import ResidualDegrees
+from . import segre
+from .errors import NumericBackendError
+from .ideals import Ideal
 
 log = logging.getLogger(__name__)
 
@@ -80,7 +81,6 @@ MAX_STEP = 0.2
 MIN_STEP = 1e-14           # a step below this loses the path (diverged)
 MAX_STEP_HALVINGS = 48     # rejected steps after which a path is lost
 BLOWUP = 1e10              # max |x| after which a path is lost
-LEVEL_RETRIES = 3          # attempts per level before NumericBackendError
 
 
 @dataclass
@@ -337,44 +337,26 @@ def classify_endpoint(point, gens: list, square: _Square):
     return "non-solution", residual
 
 
-def residual_degrees_numeric(I: Ideal, rng=None, m: int | None = None) -> ResidualDegrees:
+def residual_degrees_numeric(I: Ideal, rng=None, m: int | None = None) -> segre.ResidualDegrees:
     """Residual degrees of V(I) by counting non-solutions per level.
 
-    Level ranges and m follow the symbolic backend; the counts come from
-    tracking the m^d total-degree paths of each sliced system.  Levels are
-    rerun with fresh randomness on ambiguity or when a level fails to
-    account for every path, and a persistent failure is a
-    NumericBackendError.
+    Levels, m and the retry budget are segre.level_degrees'; the counts come
+    from tracking the m^d total-degree paths of each sliced system.  A level
+    is rerun with fresh randomness on ambiguity or when it fails to account
+    for every path, and a persistent failure is a NumericBackendError.
     """
     rng = rng or random.Random()
-    n = I.ring.nvars - 1
-    k = dimension_and_degree(I).dim
-    if k < 0:
-        raise DomainError("residual degrees need a nonempty scheme")
-    mmax = I.max_degree() if not I.is_zero else 1
-    if m is None:
-        m = mmax
-    elif m < mmax:
-        raise DomainError(f"degree bound {m} below maximum generator degree {mmax}")
-    gens = [_lift(g, n + 1) for g in I.gens]
-    degrees = {}
-    for d in range(n - k, n + 1):
-        if d == 0:
-            degrees[0] = 0
-            continue
-        err = None
-        for attempt in range(LEVEL_RETRIES):
-            try:
-                degrees[d] = _count_level(I.ring, gens, d, m, rng)
-                break
-            except (_Ambiguous, NumericBackendError) as exc:
-                err = exc
-                log.debug("level %d attempt %d rerun: %s", d, attempt, exc)
-        else:
-            raise NumericBackendError(
-                f"level {d} stayed ambiguous after {LEVEL_RETRIES} reruns: {err}"
-            )
-    return ResidualDegrees(n, k, m, degrees)
+    gens = [_lift(g, I.ring.nvars) for g in I.gens]
+
+    def count(d, m):
+        try:
+            return _count_level(I.ring, gens, d, m, rng)
+        except (_Ambiguous, NumericBackendError) as exc:
+            log.debug("level %d rerun: %s", d, exc)
+            return str(exc)
+
+    return segre.level_degrees(I, m, count, lambda d, reason: NumericBackendError(
+        f"level {d} stayed ambiguous after {segre.LEVEL_RETRIES} reruns: {reason}"))
 
 
 def _gauss(rng):

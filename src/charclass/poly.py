@@ -485,34 +485,6 @@ class Polynomial:
                 out[codec.pack(tuple(ne))] = v
         return Polynomial(self.ring, out)
 
-    def evaluate(self, point):
-        """Evaluate at a point: exact in the field, or in complex floats.
-
-        The point must list one value per ring variable.  For complex/float
-        points, GF(p) coefficients are lifted symmetrically into (-p/2, p/2).
-        """
-        if len(point) != self.ring.nvars:
-            raise DomainError(
-                f"point has {len(point)} entries, ring has {self.ring.nvars} variables"
-            )
-        numeric = any(isinstance(v, (float, complex)) for v in point)
-        codec = self.ring.codec
-        p = self.ring.field.p
-        total = 0
-        for k, c in self._t.items():
-            if numeric and p:
-                c = c - p if c > p // 2 else c
-            if numeric and isinstance(c, Fraction):
-                c = float(c)
-            v = c
-            for x, e in zip(point, codec.unpack(k)):
-                if e:
-                    v = v * x ** e
-            total = total + v
-        if not numeric:
-            total = self.ring.field.coerce(total)
-        return total
-
     def lift_terms(self):
         """(exponent tuple, int/float coefficient) with GF(p) lifted symmetrically."""
         p = self.ring.field.p

@@ -26,11 +26,15 @@ sum mu_j * (h_j|L) with uniform mu_j of degree <= m - deg h_j has exactly
 the distribution of a random degree-m element of I restricted to the
 plane.  A level whose slice has positive dimension is resampled.
 
+Both backends run one level loop (level_degrees), which owns the levels,
+m and the LEVEL_RETRIES draws per level; a backend supplies the count of
+one level from one draw.  deg s_0 >= deg I is checked once, in _residuals.
+
 The count always runs over GF(p).  Over QQ the symbolic backend never
 computes a rational Groebner basis: each public entry point (here and in
-the csm module) hands a rational input to on_prime_images, which reduces
-it modulo random primes, runs the whole computation on each image, and
-returns the first answer two images share.  The answers are small
+the csm module) is decorated with on_prime_images, which reduces a
+rational input modulo random primes, runs the whole computation on each
+image, and returns the first answer two images share.  The answers are small
 integers that agree over QQ and GF(p) for all but finitely many (unlucky)
 primes (Arnold, "Modular algorithms for computing Groebner bases", JSC
 2003), so nothing needs to be lifted back; random rational slices would
@@ -42,6 +46,8 @@ change the polynomial.  Both backends share the output format.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import logging
 import math
 import random
@@ -56,7 +62,7 @@ from .primes import random_prime
 
 log = logging.getLogger(__name__)
 
-LEVEL_RETRIES = 3  # slices drawn per level before GenericityError
+LEVEL_RETRIES = 3  # draws per level before the backend's error
 
 
 @dataclass(frozen=True)
@@ -85,25 +91,67 @@ class SegreDegrees:
             raise DomainError("Segre degree vector has wrong length")
 
 
-def residual_degrees_symbolic(I: Ideal, rng=None, m: int | None = None) -> ResidualDegrees:
-    """Residual degrees of X = V(I), one level per codimension.
+def on_prime_images(entry):
+    """Decorate a public entry point with the one rule for rational input.
 
-    Each deg R_d is a zero-dimensional point count on a random affine
-    d-plane over GF(p).  Over QQ the counts come from images of I at random
-    primes drawn from rng (see on_prime_images).  m defaults to the maximum
-    generator degree and may only be raised.  A level whose slice fails the
-    dimension check is resampled, at most LEVEL_RETRIES times per level.
+    The wrapper binds the call to entry's parameters, which it passes by
+    name, and draws rng = random.Random() when none is given.  With the
+    symbolic backend (the `backend` argument, "symbolic" when not given)
+    and a first argument, an Ideal or a Polynomial, over QQ, it draws
+    primes from rng and maps the argument into the ring of the same
+    variables over each GF(p); a prime that divides a denominator or sends
+    a nonzero coefficient to 0 is skipped.  The undecorated entry runs on
+    each image with the call's other arguments, and the first answer two
+    images share is returned; an unlucky prime changes its image's answer,
+    so three pairwise different answers raise GenericityError.  Inside an
+    image everything is over GF(p), so the decorated entry points it calls
+    pass straight through.
     """
-    rng = rng or random.Random()
+    signature = inspect.signature(entry)
+
+    @functools.wraps(entry)
+    def wrapper(*args, **kwargs):
+        arguments = signature.bind(*args, **kwargs).arguments
+        arguments["rng"] = rng = arguments.get("rng") or random.Random()
+        name, x = next(iter(arguments.items()))
+        if arguments.get("backend", "symbolic") != "symbolic" or x.ring.field.p:
+            return entry(**arguments)
+        polys = x.gens if isinstance(x, Ideal) else [x]
+        seen = []
+        while len(seen) < 3:
+            p = random_prime(rng)
+            image = Ring(x.ring.names, FieldSpec(p))
+            try:
+                mapped = [change_field(f, image) for f in polys]
+            except DomainError:
+                log.debug("prime %d divides an input coefficient or denominator, skipped", p)
+                continue
+            log.debug("computing modulo the prime %d", p)
+            arguments[name] = Ideal(image, mapped) if isinstance(x, Ideal) else mapped[0]
+            answer = entry(**arguments)
+            if answer in seen:
+                return answer
+            seen.append(answer)
+        raise GenericityError(
+            "answers at three random primes all differ: " + "; ".join(map(str, seen))
+        )
+
+    return wrapper
+
+
+def level_degrees(I: Ideal, m: int | None, count, fail) -> ResidualDegrees:
+    """Residual degrees of X = V(I) at the levels d = n-k..n, for both backends.
+
+    m defaults to the maximum generator degree and may only be raised.
+    count(d, m) is the backend's deg R_d from one random draw, or a string
+    saying why the draw must be repeated; a level that gets no degree in
+    LEVEL_RETRIES draws raises fail(d, last reason).
+    """
     mmax = I.max_degree() if not I.is_zero else 1
     if m is None:
         m = mmax
     elif m < mmax:
         raise DomainError(f"degree bound {m} below maximum generator degree {mmax}")
-    if not I.ring.field.p:
-        return on_prime_images(
-            I.gens, I.ring, rng,
-            lambda gens, ring: residual_degrees_symbolic(Ideal(ring, gens), rng, m))
     n = I.ring.nvars - 1
     k = dimension_and_degree(I).dim
     if k < 0:
@@ -115,48 +163,33 @@ def residual_degrees_symbolic(I: Ideal, rng=None, m: int | None = None) -> Resid
             degrees[0] = 0
             continue
         for attempt in range(LEVEL_RETRIES):
-            degree = _sliced_degree(I, d, m, rng)
-            if degree is not None:
+            degree = count(d, m)
+            if not isinstance(degree, str):
                 degrees[d] = degree
                 break
-            log.debug("level %d attempt %d: slice is not zero-dimensional, resampling",
-                      d, attempt)
+            log.debug("level %d attempt %d: %s, resampling", d, attempt, degree)
         else:
-            raise GenericityError(
-                f"residual at level {d} failed the dimension check "
-                f"{LEVEL_RETRIES} times (nongeneric randomness)"
-            )
+            raise fail(d, degree)
     return ResidualDegrees(n, k, m, degrees)
 
 
-def on_prime_images(polys, ring, rng, compute):
-    """compute(images, image_ring) for rational polys, agreed on by two primes.
+@on_prime_images
+def residual_degrees_symbolic(I: Ideal, rng=None, m: int | None = None) -> ResidualDegrees:
+    """Residual degrees of X = V(I), one level per codimension.
 
-    Draws primes from rng and maps polys into the ring of the same
-    variables over each GF(p); a prime that divides a denominator or sends
-    a nonzero coefficient to 0 is skipped.  The first answer two images
-    share is returned; an unlucky prime changes its image's answer, so
-    three pairwise different answers raise GenericityError.  Inside compute
-    everything is over GF(p), so the public entry points that call this
-    never nest.
+    Each deg R_d is a zero-dimensional point count on a random affine
+    d-plane over GF(p).  Over QQ the counts come from images of I at random
+    primes drawn from rng (see on_prime_images).  m defaults to the maximum
+    generator degree and may only be raised.  A level whose slice fails the
+    dimension check is resampled, at most LEVEL_RETRIES times per level.
     """
-    seen = []
-    while len(seen) < 3:
-        p = random_prime(rng)
-        image = Ring(ring.names, FieldSpec(p))
-        try:
-            mapped = [change_field(f, image) for f in polys]
-        except DomainError:
-            log.debug("prime %d divides an input coefficient or denominator, skipped", p)
-            continue
-        log.debug("computing modulo the prime %d", p)
-        answer = compute(mapped, image)
-        if answer in seen:
-            return answer
-        seen.append(answer)
-    raise GenericityError(
-        "answers at three random primes all differ: " + "; ".join(map(str, seen))
-    )
+    def count(d, m):
+        degree = _sliced_degree(I, d, m, rng)
+        return "slice is not zero-dimensional" if degree is None else degree
+
+    return level_degrees(I, m, count, lambda d, _reason: GenericityError(
+        f"residual at level {d} failed the dimension check "
+        f"{LEVEL_RETRIES} times (nongeneric randomness)"))
 
 
 def _random_slice(ring: Ring, target: Ring, rng) -> list:
@@ -263,6 +296,7 @@ def segre_from_residuals(R: ResidualDegrees) -> SegreDegrees:
     return SegreDegrees(n, k, tuple(values))
 
 
+@on_prime_images
 def segre_degrees(
     I: Ideal,
     backend: str = "symbolic",
@@ -276,41 +310,32 @@ def segre_degrees(
     command with fresh randomness instead.  A rational ideal runs on GF(p)
     images (on_prime_images) with the symbolic backend and stays exact with
     the numeric one.  deg s_0 below the Hilbert degree of I raises
-    GenericityError (check_s0).
+    GenericityError (see _residuals).
     """
-    rng = rng or random.Random()
-    if backend == "symbolic" and not I.ring.field.p:
-        return on_prime_images(
-            I.gens, I.ring, rng,
-            lambda gens, ring: segre_degrees(Ideal(ring, gens), backend, rng, m))
-    stats = dimension_and_degree(I)
-    if stats.dim < 0:
-        raise DomainError("Segre degrees need a nonempty scheme")
-    out = segre_from_residuals(_residuals(I, backend, rng, m))
-    check_s0(out, stats.degree)
-    return out
-
-
-def check_s0(segre: SegreDegrees, degree: int) -> None:
-    """Refuse deg s_0 below the Hilbert degree of the scheme.
-
-    At each top-dimensional component the Samuel multiplicity is at least
-    the length, so deg s_0 >= deg I always holds; a smaller value means the
-    residuals were not generic and raises GenericityError.
-    """
-    if segre.values[0] < degree:
-        raise GenericityError(
-            f"deg s_0 = {segre.values[0]} below the Hilbert degree {degree}; "
-            "residuals suspect"
-        )
+    return segre_from_residuals(_residuals(I, backend, rng, m))
 
 
 def _residuals(I, backend, rng, m):
-    """ResidualDegrees of V(I) from the named backend."""
+    """ResidualDegrees of V(I) from the named backend, with deg s_0 checked.
+
+    deg s_0 = m^c - deg R_c at the first level c = n - k.  At each
+    top-dimensional component the Samuel multiplicity is at least the
+    length, so deg s_0 >= deg I always holds; a smaller value means the
+    residuals were not generic and raises GenericityError.
+    """
     if backend == "symbolic":
-        return residual_degrees_symbolic(I, rng, m)
-    if backend == "numeric":
+        R = residual_degrees_symbolic(I, rng, m)
+    elif backend == "numeric":
         from . import homotopy
 
-        return homotopy.residual_degrees_numeric(I, rng, m)
-    raise DomainError(f"unknown backend {backend!r}")
+        R = homotopy.residual_degrees_numeric(I, rng, m)
+    else:
+        raise DomainError(f"unknown backend {backend!r}")
+    c = R.n - R.k
+    s0 = R.m ** c - R.degrees[c]
+    degree = dimension_and_degree(I).degree
+    if s0 < degree:
+        raise GenericityError(
+            f"deg s_0 = {s0} below the Hilbert degree {degree}; residuals suspect"
+        )
+    return R

@@ -12,8 +12,9 @@ before it cut open sets by hyperplane sections.  The ML degree from the
 likelihood equations uses neither inclusion-exclusion nor Euler
 characteristics.  Residual degrees by iterated saturation are the reference
 for the sliced GF(p) count.  The Buchberger criterion checks a basis by its
-S-polynomials alone, and dehomogenization is the inverse homogenization is
-checked against.
+S-polynomials alone, dehomogenization is the inverse homogenization is
+checked against, and pointwise evaluation checks restrictions and
+Jacobians at known points.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from charclass import (
@@ -196,6 +198,35 @@ def dehomogenize(f: Polynomial, index: int) -> Polynomial:
             else:
                 del out[nk]
     return Polynomial(target, out)
+
+
+def evaluate(f: Polynomial, point):
+    """f at a point: exact in the field, or in complex floats.
+
+    The point must list one value per ring variable.  For complex/float
+    points, GF(p) coefficients are lifted symmetrically into (-p/2, p/2).
+    """
+    if len(point) != f.ring.nvars:
+        raise DomainError(
+            f"point has {len(point)} entries, ring has {f.ring.nvars} variables"
+        )
+    numeric = any(isinstance(v, (float, complex)) for v in point)
+    codec = f.ring.codec
+    p = f.ring.field.p
+    total = 0
+    for k, c in f._t.items():
+        if numeric and p:
+            c = c - p if c > p // 2 else c
+        if numeric and isinstance(c, Fraction):
+            c = float(c)
+        v = c
+        for x, e in zip(point, codec.unpack(k)):
+            if e:
+                v = v * x ** e
+        total = total + v
+    if not numeric:
+        total = f.ring.field.coerce(total)
+    return total
 
 
 def scalar_equal(f, g) -> bool:

@@ -29,6 +29,7 @@ from charclass import (
     ml_degree,
     parse_problem,
     poly_gcd,
+    residual_degrees_symbolic,
     segre_degrees,
     segre_from_shadow,
     shadow_from_segre,
@@ -36,6 +37,7 @@ from charclass import (
 )
 
 import charclass.csm as csm
+import charclass.homotopy as homotopy
 import charclass.segre as segre
 from charclass import cli
 from charclass.csm import _euler_off_hyperplanes, _section_euler
@@ -257,9 +259,13 @@ class TestShadowFromResiduals:
         assert csm_subscheme(twisted_cubic, rng=rng).euler == 2
         assert segre_calls == []
 
-    def test_lowered_s0_is_refused(self, nodal_cubic, rng, monkeypatch):
+    @pytest.mark.parametrize("backend, module, name", [
+        ("symbolic", segre, "residual_degrees_symbolic"),
+        ("numeric", homotopy, "residual_degrees_numeric"),
+    ], ids=["symbolic", "numeric"])
+    def test_lowered_s0_is_refused(self, nodal_cubic, rng, monkeypatch, backend, module, name):
         # one more residual point at the first level gives s_0 = 0 < 1
-        real = segre.residual_degrees_symbolic
+        real = getattr(module, name)
 
         def inflated(I, *args, **kwargs):
             res = real(I, *args, **kwargs)
@@ -267,9 +273,9 @@ class TestShadowFromResiduals:
             return ResidualDegrees(res.n, res.k, res.m,
                                    {**res.degrees, first: res.degrees[first] + 1})
 
-        monkeypatch.setattr(segre, "residual_degrees_symbolic", inflated)
+        monkeypatch.setattr(module, name, inflated)
         with pytest.raises(GenericityError, match="Hilbert degree 1"):
-            csm_hypersurface(nodal_cubic, rng=rng)
+            csm_hypersurface(nodal_cubic, backend=backend, rng=rng)
 
 
 class TestHyperplaneArrangements:
@@ -690,6 +696,10 @@ RATIONAL_ENTRY_POINTS = [
     pytest.param(lambda q, rng: euler_characteristic(q["twisted_cubic"], rng=rng),
                  2, id="euler_characteristic"),
     pytest.param(lambda q, rng: affine_euler(q["hyperbola"], rng=rng), 0, id="affine_euler"),
+    pytest.param(lambda q, rng: affine_euler(q["twisted_cubic"].gens, homvar="x", rng=rng),
+                 1, id="affine_euler_homvar"),
+    pytest.param(lambda q, rng: residual_degrees_symbolic(q["twisted_cubic"], rng).degrees,
+                 {2: 1, 3: 0}, id="residual_degrees_symbolic"),
     pytest.param(lambda q, rng: ml_degree(q["censoring"], rng=rng).ml_degree,
                  3, id="ml_degree"),
 ]

@@ -19,6 +19,7 @@ from charclass import (
     segre_degrees,
     track_path,
 )
+from charclass import segre
 from charclass.errors import DomainError
 from charclass.homotopy import (
     _NPoly,
@@ -261,6 +262,6 @@ class TestPathAccounting:
         from charclass.errors import NumericBackendError
 
         monkeypatch.setattr(hm, "CORRECTOR_TOL", 1e-300)
-        monkeypatch.setattr(hm, "LEVEL_RETRIES", 1)
+        monkeypatch.setattr(segre, "LEVEL_RETRIES", 1)
         with pytest.raises(NumericBackendError):
             residual_degrees_numeric(twisted_cubic, random.Random(0))

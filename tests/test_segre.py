@@ -23,7 +23,8 @@ from charclass import (
     segre_from_residuals,
     squarefree_part,
 )
-from charclass import segre
+from charclass import homotopy, segre
+from charclass.errors import NumericBackendError
 from charclass.groebner import buchberger, normal_form
 
 from helpers import PRIME, residual_degrees_saturation
@@ -137,9 +138,13 @@ class TestHilbertDegreeBound:
         assert dimension_and_degree(I).degree == 3
         assert segre_degrees(I, rng=rng).values == (4, -16)
 
-    def test_lowered_s0_is_refused(self, twisted_cubic, rng, monkeypatch):
+    @pytest.mark.parametrize("backend, module, name", [
+        ("symbolic", segre, "residual_degrees_symbolic"),
+        ("numeric", homotopy, "residual_degrees_numeric"),
+    ], ids=["symbolic", "numeric"])
+    def test_lowered_s0_is_refused(self, twisted_cubic, rng, monkeypatch, backend, module, name):
         # one more residual point at the first level gives s_0 = 2 < 3
-        real = segre.residual_degrees_symbolic
+        real = getattr(module, name)
 
         def inflated(I, *args, **kwargs):
             res = real(I, *args, **kwargs)
@@ -147,9 +152,9 @@ class TestHilbertDegreeBound:
             return ResidualDegrees(res.n, res.k, res.m,
                                    {**res.degrees, first: res.degrees[first] + 1})
 
-        monkeypatch.setattr(segre, "residual_degrees_symbolic", inflated)
+        monkeypatch.setattr(module, name, inflated)
         with pytest.raises(GenericityError, match="Hilbert degree 3"):
-            segre_degrees(twisted_cubic, rng=rng)
+            segre_degrees(twisted_cubic, backend=backend, rng=rng)
 
 
 def _golden_ideals():
@@ -346,6 +351,64 @@ class TestResampling:
         assert calls["slice"] == 4
         resamples = [r for r in caplog.records if "resampling" in r.getMessage()]
         assert len(resamples) == 4
+
+
+@pytest.mark.parametrize("backend", ["symbolic", "numeric"])
+class TestLevelDriver:
+    """segre.level_degrees is the one level loop and retry budget of both backends."""
+
+    @staticmethod
+    def _residuals(backend):
+        if backend == "symbolic":
+            return residual_degrees_symbolic
+        return homotopy.residual_degrees_numeric
+
+    @staticmethod
+    def _failing_levels(monkeypatch, backend):
+        """Make every draw of a level fail; the levels drawn, in order."""
+        drawn = []
+
+        def sliced(I, d, m, rng):
+            drawn.append(d)
+            return None
+
+        def count_level(ring, gens, d, m, rng):
+            drawn.append(d)
+            raise homotopy._Ambiguous(f"forced {len(drawn)}")
+
+        if backend == "symbolic":
+            monkeypatch.setattr(segre, "_sliced_degree", sliced)
+        else:
+            monkeypatch.setattr(homotopy, "_count_level", count_level)
+        return drawn
+
+    def test_degree_bound_below_generator_degree(self, backend, twisted_cubic, rng):
+        with pytest.raises(DomainError, match="degree bound 1 below maximum generator degree 2"):
+            self._residuals(backend)(twisted_cubic, rng, m=1)
+
+    def test_unit_ideal(self, backend, P2, rng):
+        with pytest.raises(DomainError, match="nonempty scheme"):
+            self._residuals(backend)(Ideal(P2, [P2.one()]), rng)
+
+    def test_exhausted_retries(self, backend, twisted_cubic, rng, monkeypatch):
+        drawn = self._failing_levels(monkeypatch, backend)
+        error, message = {
+            "symbolic": (GenericityError, "residual at level 2 failed the dimension check 3 times"),
+            "numeric": (NumericBackendError, "level 2 stayed ambiguous after 3 reruns: forced 3$"),
+        }[backend]
+        with pytest.raises(error, match=message):
+            self._residuals(backend)(twisted_cubic, rng)
+        assert drawn == [2, 2, 2]
+
+    @pytest.mark.parametrize("retries", [1, 5])
+    def test_budget_is_segre_level_retries(self, backend, retries, twisted_cubic, rng,
+                                           monkeypatch):
+        monkeypatch.setattr(segre, "LEVEL_RETRIES", retries)
+        drawn = self._failing_levels(monkeypatch, backend)
+        with pytest.raises((GenericityError, NumericBackendError),
+                           match=rf"level 2 .*\b{retries} (times|reruns)"):
+            self._residuals(backend)(twisted_cubic, rng)
+        assert drawn == [2] * retries
 
 
 class TestCutsOnTheSlice:
