@@ -15,7 +15,11 @@ All m^d paths of a level are tracked together as one (paths x nv) array;
 each path keeps its own t and step size, so it takes the same steps it
 would take alone.  A system is compiled into one monomial table: the union
 of the monomials of its rows and of its Jacobian entries, so that one power
-table and one gather-product evaluate F and J at every path at once.
+table and one gather-product evaluate F and J at every path at once.  The
+homotopy merges the target's and the start's tables into one, with the
+coefficient blocks F and gamma G - F, so one evaluation gives H, Hx and Ht.
+The predictor takes Hx and Ht from the corrector's last evaluation at the
+accepted point, so each point of a path is evaluated once.
 
 Every path ends in exactly one of four buckets: solution, non-solution,
 singular or diverged.  A level whose buckets do not add up to m^d is an
@@ -146,17 +150,43 @@ def _lift(f, nv) -> _NPoly:
     return _NPoly.from_terms(terms, nv)
 
 
-class _Square:
+class _Table:
+    """Coefficient blocks on one monomial table: `eval` gives every block at once.
+
+    `E` (M x nv) is the exponent matrix of the columns, `CF` (rows x M) and
+    `CJ` (rows*nv x M) the coefficients of the rows and of their row-major
+    Jacobian.  The caller sets numpy's error state: a diverging path
+    overflows.
+    """
+
+    def __init__(self, E, CF, CJ):
+        self.E, self.CF, self.CJ = E, CF, CJ
+        self.rows, self.nv = len(CF), E.shape[1]
+        self._dmax = int(E.max(initial=0))
+        # column k is the product of the power-table entries _at[k] of a point
+        self._at = np.arange(self.nv) * (self._dmax + 1) + E
+
+    def eval(self, X, jac=True):
+        """F (p x rows) and J (p x rows x nv, or None) at the rows of X (p x nv)."""
+        P = np.empty((len(X), self.nv, self._dmax + 1), dtype=np.complex128)
+        P[:, :, 0] = 1
+        for k in range(1, self._dmax + 1):
+            P[:, :, k] = P[:, :, k - 1] * X
+        mons = P.reshape(len(X), self.nv * (self._dmax + 1))[:, self._at].prod(axis=2)
+        F = mons @ self.CF.T
+        J = (mons @ self.CJ.T).reshape(len(X), self.rows, self.nv) if jac else None
+        return F, J
+
+
+class _Square(_Table):
     """A polynomial system and its Jacobian compiled into one monomial table.
 
     The columns of the table are the union of the monomials of all rows and
-    of all Jacobian entries: `E` is their exponent matrix, `CF` (rows x M)
-    and `CJ` (rows*nv x M) the coefficients of F and of the row-major J.
+    of all Jacobian entries.
     """
 
     def __init__(self, polys):
-        self.polys = polys
-        self.nv = nv = polys[0].nv
+        nv = polys[0].nv
         columns = {}
         f_terms, j_terms = [], []
         for i, f in enumerate(polys):
@@ -166,56 +196,53 @@ class _Square:
                 d = f.partial(j)
                 for e, c in zip(d.E.tolist(), d.c):
                     j_terms.append((i * nv + j, columns.setdefault(tuple(e), len(columns)), c))
-        self.E = np.array(list(columns), dtype=np.int64).reshape(-1, nv)
-        self.CF = np.zeros((len(polys), len(columns)), dtype=np.complex128)
-        self.CJ = np.zeros((len(polys) * nv, len(columns)), dtype=np.complex128)
-        for C, terms in ((self.CF, f_terms), (self.CJ, j_terms)):
+        CF = np.zeros((len(polys), len(columns)), dtype=np.complex128)
+        CJ = np.zeros((len(polys) * nv, len(columns)), dtype=np.complex128)
+        for C, terms in ((CF, f_terms), (CJ, j_terms)):
             for r, k, c in terms:
                 C[r, k] += c
-        self._var = np.arange(nv)
-        self._dmax = int(self.E.max(initial=0))
-
-    def eval(self, X, jac=True):
-        """F (p x rows) and J (p x rows x nv, or None) at the rows of X (p x nv)."""
-        P = np.empty((len(X), self.nv, self._dmax + 1), dtype=np.complex128)
-        P[:, :, 0] = 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, self._dmax + 1):
-                P[:, :, k] = P[:, :, k - 1] * X
-            mons = P[:, self._var, self.E].prod(axis=2)
-            F = mons @ self.CF.T
-            J = (mons @ self.CJ.T).reshape(len(X), len(self.polys), self.nv) if jac else None
-        return F, J
+        super().__init__(np.array(list(columns), dtype=np.int64).reshape(-1, nv), CF, CJ)
 
 
 class StraightLineHomotopy:
     """H(x, t) = (1-t) F(x) + t gamma G(x), with shared t-independent rows.
 
     Rows whose index appears in `fixed` (the chart patch) enter both systems
-    without the gamma factor, so paths stay inside the chart.  Target and
-    start rows share one monomial table, so H, Hx and Ht come from one
-    evaluation.
+    without the gamma factor, so paths stay inside the chart.  The target's
+    and the start's tables are merged into one, with two coefficient blocks:
+    F and D = gamma G - F, where D is zero on the fixed rows.  One evaluation
+    then gives Ht = D and H = F + t Ht, and Hx the same way.
     """
 
     def __init__(self, target: _Square, start: _Square, gamma: complex, fixed=()):
         self.target = target
         self.start = start
         self.gamma = gamma
-        self._both = _Square(target.polys + start.polys)
-        self._free = np.ones(len(target.polys))
-        self._free[list(fixed)] = 0.0
+        columns = {}
+        where = [[columns.setdefault(e, len(columns)) for e in map(tuple, s.E.tolist())]
+                 for s in (target, start)]
+
+        def spread(C, k):  # table k's coefficients on the merged columns
+            out = np.zeros((len(C), len(columns)), dtype=np.complex128)
+            out[:, where[k]] = C
+            return out
+
+        CF, CJ = spread(target.CF, 0), spread(target.CJ, 0)
+        DF = gamma * spread(start.CF, 1) - CF
+        DJ = gamma * spread(start.CJ, 1) - CJ
+        fixed = list(fixed)
+        DF[fixed] = 0
+        DJ.reshape(target.rows, target.nv, -1)[fixed] = 0  # a view: zeroes DJ's rows
+        E = np.array(list(columns), dtype=np.int64).reshape(-1, target.nv)
+        self._table = _Table(E, np.vstack([CF, DF]), np.vstack([CJ, DJ]))
 
     def eval(self, X, t, jac=True):
         """H, Hx (or None) and Ht at the rows of X, path k at time t[k]."""
-        rows = len(self._free)
-        FG, JG = self._both.eval(X, jac)
-        F, G = FG[:, :rows], FG[:, rows:]
-        t = t[:, None] * self._free  # fixed rows stay at t = 0
-        a = 1 - t
-        b = t * self.gamma
-        H = a * F + b * G
-        Ht = (self.gamma * G - F) * self._free
-        Hx = a[..., None] * JG[:, :rows] + b[..., None] * JG[:, rows:] if jac else None
+        rows = self.target.rows
+        FD, JD = self._table.eval(X, jac)
+        Ht = FD[:, rows:]
+        H = FD[:, :rows] + t[:, None] * Ht
+        Hx = JD[:, :rows] + t[:, None, None] * JD[:, rows:] if jac else None
         return H, Hx, Ht
 
 
@@ -262,10 +289,12 @@ def track_paths(starts, homotopy: StraightLineHomotopy) -> list[PathEndpoint]:
 
     Each path keeps its own t, step size, success streak and halving count:
     Euler predictor and Newton corrector with step halving on failure and
-    doubling after four successes in a row.  The endpoints are polished by
-    extra Newton steps on the target system.  Step underflow or a norm
-    blowup yields status "diverged"; an endpoint where Newton stalls yields
-    "singular".
+    doubling after four successes in a row.  The predictor reuses Hx and Ht
+    from the corrector's last evaluation at the accepted point (the start
+    points get one batched evaluation), so no point is evaluated twice.
+    The endpoints are polished by extra Newton steps on the target system.
+    Step underflow or a norm blowup yields status "diverged"; an endpoint
+    where Newton stalls yields "singular".
     """
     X = np.array(starts, dtype=np.complex128)
     p = len(X)
@@ -274,37 +303,44 @@ def track_paths(starts, homotopy: StraightLineHomotopy) -> list[PathEndpoint]:
     halvings = np.zeros(p, dtype=np.int64)
     streak = np.zeros(p, dtype=np.int64)
     lost = np.zeros(p, dtype=bool)
-    while True:
-        idx = np.flatnonzero(~lost & (t > 0))
-        if not idx.size:
-            break
-        tk = t[idx]
-        step = np.minimum(dt[idx], tk)
-        tn = tk - step
-        _, hx, ht = homotopy.eval(X[idx], tk)
-        xn = X[idx] - _solve_rows(hx, -ht) * step[:, None]  # dx/dt = -Hx^{-1} Ht
-        ok, _ = _newton(
-            lambda k, Y, jac: homotopy.eval(Y, tn[k], jac)[:2],
-            xn, CORRECTOR_TOL, NEWTON_ITERS, scaled=True,
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, HX, HT = homotopy.eval(X, t)  # each path's Hx and Ht at (X, t)
+        while True:
+            idx = np.flatnonzero(~lost & (t > 0))
+            if not idx.size:
+                break
+            tk = t[idx]
+            step = np.minimum(dt[idx], tk)
+            tn = tk - step
+            hx, ht = HX[idx], HT[idx]  # copies; the corrector overwrites them below
+            xn = X[idx] - _solve_rows(hx, -ht) * step[:, None]  # dx/dt = -Hx^{-1} Ht
+
+            def corrector(k, Y, jac):
+                # with Hx every time: an accepted row's last evaluation feeds its next prediction
+                H, Hx, Ht = homotopy.eval(Y, tn[k])
+                hx[k], ht[k] = Hx, Ht
+                return H, Hx
+
+            ok, _ = _newton(corrector, xn, CORRECTOR_TOL, NEWTON_ITERS, scaled=True)
+            acc, rej = idx[ok], idx[~ok]
+            X[acc], t[acc] = xn[ok], tn[ok]
+            HX[acc], HT[acc] = hx[ok], ht[ok]  # a rejected row keeps those of its old point
+            streak[acc] += 1
+            grow = acc[streak[acc] >= 4]
+            dt[grow] = np.minimum(dt[grow] * 2, MAX_STEP)
+            streak[grow] = 0
+            streak[rej] = 0
+            dt[rej] /= 2
+            halvings[rej] += 1
+            lost[rej[(dt[rej] < MIN_STEP) | (halvings[rej] > MAX_STEP_HALVINGS)]] = True
+            lost[idx[np.abs(X[idx]).max(axis=1) > BLOWUP]] = True
+        res = np.full(p, np.inf)
+        fin = np.flatnonzero(~lost)
+        Y = X[fin]
+        _, res[fin] = _newton(
+            lambda k, Z, jac: homotopy.target.eval(Z, jac),
+            Y, CORRECTOR_TOL, ENDPOINT_NEWTON, scaled=False,
         )
-        acc, rej = idx[ok], idx[~ok]
-        X[acc], t[acc] = xn[ok], tn[ok]
-        streak[acc] += 1
-        grow = acc[streak[acc] >= 4]
-        dt[grow] = np.minimum(dt[grow] * 2, MAX_STEP)
-        streak[grow] = 0
-        streak[rej] = 0
-        dt[rej] /= 2
-        halvings[rej] += 1
-        lost[rej[(dt[rej] < MIN_STEP) | (halvings[rej] > MAX_STEP_HALVINGS)]] = True
-        lost[idx[np.abs(X[idx]).max(axis=1) > BLOWUP]] = True
-    res = np.full(p, np.inf)
-    fin = np.flatnonzero(~lost)
-    Y = X[fin]
-    _, res[fin] = _newton(
-        lambda k, Z, jac: homotopy.target.eval(Z, jac),
-        Y, CORRECTOR_TOL, ENDPOINT_NEWTON, scaled=False,
-    )
     X[fin] = Y
     status = np.select([res <= CORRECTOR_TOL, res < 1e-4], ["converged", "singular"], "diverged")
     return [PathEndpoint(x.copy(), str(s)) for x, s in zip(X, status)]
