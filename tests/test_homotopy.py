@@ -22,6 +22,7 @@ from charclass import (
     track_path,
 )
 from charclass import cli, segre
+from charclass.errors import DomainError
 from charclass.homotopy import (
     _NPoly,
     _Square,
@@ -257,6 +258,10 @@ class TestNumericResiduals:
         num = residual_degrees_numeric(I, random.Random(6))
         sym = residual_degrees_symbolic(I, random.Random(6))
         assert num.degrees == sym.degrees == {2: 1, 3: 0, 4: 0, 5: 0}
+
+    def test_empty_scheme_rejected(self, P2):
+        with pytest.raises(DomainError):
+            residual_degrees_numeric(Ideal(P2, [P2.one()]), random.Random(0))
 
 
 class TestPathAccounting:

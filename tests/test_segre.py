@@ -50,10 +50,18 @@ class TestResidualsSymbolic:
         assert res.degrees == {1: 0, 2: 0}
         assert segre_from_residuals(res).values == (2, -4)
 
+    def test_empty_scheme_rejected(self, P2, rng):
+        with pytest.raises(DomainError):
+            residual_degrees_symbolic(Ideal(P2, [P2.one()]), rng)
+
     def test_degree_override(self, twisted_cubic, rng):
         res = residual_degrees_symbolic(twisted_cubic, rng, m=3)
         assert res.m == 3
         assert segre_from_residuals(res).values == (3, -10)
+
+    def test_override_below_max_rejected(self, twisted_cubic, rng):
+        with pytest.raises(DomainError):
+            residual_degrees_symbolic(twisted_cubic, rng, m=1)
 
 
 class TestTriangularSolve:
