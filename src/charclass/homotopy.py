@@ -21,6 +21,15 @@ coefficient blocks F and gamma G - F, so one evaluation gives H, Hx and Ht.
 The predictor takes Hx and Ht from the corrector's last evaluation at the
 accepted point, so each point of a path is evaluated once.
 
+The step kernel works at the floor of numpy calls for arrays of a few rows:
+an evaluation builds one contiguous power table [1, x, x*x, ...] and
+gathers every monomial from it at once; each batch of linear solves is one
+call of LAPACK's batched zgesv, without np.linalg.solve's wrapper; and the
+state of the moving paths is kept compacted and updated by masks, compacted
+again only when a path ends.  None of this changes the arithmetic on path
+data, so every path takes the same steps and ends on the same bits as with
+per-path index gathers (tests/helpers.py keeps that tracker as the oracle).
+
 Every path ends in exactly one of four buckets: solution, non-solution,
 singular or diverged.  A level whose buckets do not add up to m^d is an
 error.  Converged endpoints that do not lie on V(I) and have a nonsingular
@@ -44,6 +53,7 @@ never executes it.
 from __future__ import annotations
 
 import cmath
+import functools
 import importlib.util
 import itertools
 import logging
@@ -128,15 +138,6 @@ class _NPoly:
             mons = np.prod(x[None, :] ** self.E, axis=1)
         return complex(np.dot(self.c, mons))
 
-    def partial(self, j):
-        mask = self.E[:, j] > 0
-        if not mask.any():
-            return _NPoly(np.zeros((0, self.nv)), np.zeros(0), self.nv)
-        E = self.E[mask].copy()
-        c = self.c[mask] * E[:, j]
-        E[:, j] -= 1
-        return _NPoly(E, c, self.nv)
-
     def coeff_norm(self):
         return float(np.sqrt(np.sum(np.abs(self.c) ** 2))) or 1.0
 
@@ -150,31 +151,41 @@ def _lift(f, nv) -> _NPoly:
     return _NPoly.from_terms(terms, nv)
 
 
+def _columns(E):
+    """The distinct rows of E in order of first occurrence, and each row's index among them."""
+    index = {}
+    at = [index.setdefault(e, len(index)) for e in map(tuple, E.tolist())]
+    distinct = np.array(list(index), dtype=np.int64).reshape(-1, E.shape[1])
+    return distinct, np.array(at, dtype=np.intp)
+
+
 class _Table:
     """Coefficient blocks on one monomial table: `eval` gives every block at once.
 
     `E` (M x nv) is the exponent matrix of the columns, `CF` (rows x M) and
     `CJ` (rows*nv x M) the coefficients of the rows and of their row-major
-    Jacobian.  The caller sets numpy's error state: a diverging path
-    overflows.
+    Jacobian.  The power table of a point is one contiguous row
+    [1, x, x*x, ..., x^dmax] (each power one nv-wide block), so x_j^e sits at
+    e*nv + j and column k is the product of the entries `_at[k]`.  The
+    caller sets numpy's error state: a diverging path overflows.
     """
 
     def __init__(self, E, CF, CJ):
         self.E, self.CF, self.CJ = E, CF, CJ
         self.rows, self.nv = len(CF), E.shape[1]
         self._dmax = int(E.max(initial=0))
-        # column k is the product of the power-table entries _at[k] of a point
-        self._at = np.arange(self.nv) * (self._dmax + 1) + E
+        self._at = E * self.nv + np.arange(self.nv)
+        self._CFt, self._CJt = CF.T, CJ.T
 
     def eval(self, X, jac=True):
         """F (p x rows) and J (p x rows x nv, or None) at the rows of X (p x nv)."""
-        P = np.empty((len(X), self.nv, self._dmax + 1), dtype=np.complex128)
-        P[:, :, 0] = 1
-        for k in range(1, self._dmax + 1):
-            P[:, :, k] = P[:, :, k - 1] * X
-        mons = P.reshape(len(X), self.nv * (self._dmax + 1))[:, self._at].prod(axis=2)
-        F = mons @ self.CF.T
-        J = (mons @ self.CJ.T).reshape(len(X), self.rows, self.nv) if jac else None
+        powers = [np.ones(X.shape, dtype=np.complex128), X]
+        for _ in range(1, self._dmax):
+            powers.append(powers[-1] * X)
+        P = np.concatenate(powers[:self._dmax + 1], axis=1)
+        mons = np.multiply.reduce(P[:, self._at], axis=2)
+        F = mons @ self._CFt
+        J = (mons @ self._CJt).reshape(len(X), self.rows, self.nv) if jac else None
         return F, J
 
 
@@ -182,26 +193,25 @@ class _Square(_Table):
     """A polynomial system and its Jacobian compiled into one monomial table.
 
     The columns of the table are the union of the monomials of all rows and
-    of all Jacobian entries.
+    of all Jacobian entries, in the order they first occur: row 0, its
+    partials d/dx_0 .. d/dx_{nv-1}, row 1, and so on.
     """
 
     def __init__(self, polys):
-        nv = polys[0].nv
-        columns = {}
-        f_terms, j_terms = [], []
+        nv, rows = polys[0].nv, len(polys)
+        shift = np.eye(nv, dtype=np.int64)[:, None]
+        # every term of row i, then of its partials d/dx_0 .. d/dx_{nv-1} in
+        # term order; each goes to row i of CF or to row i*nv + j of CJ
+        E, c, to = [], [], []
         for i, f in enumerate(polys):
-            for e, c in zip(f.E.tolist(), f.c):
-                f_terms.append((i, columns.setdefault(tuple(e), len(columns)), c))
-            for j in range(nv):
-                d = f.partial(j)
-                for e, c in zip(d.E.tolist(), d.c):
-                    j_terms.append((i * nv + j, columns.setdefault(tuple(e), len(columns)), c))
-        CF = np.zeros((len(polys), len(columns)), dtype=np.complex128)
-        CJ = np.zeros((len(polys) * nv, len(columns)), dtype=np.complex128)
-        for C, terms in ((CF, f_terms), (CJ, j_terms)):
-            for r, k, c in terms:
-                C[r, k] += c
-        super().__init__(np.array(list(columns), dtype=np.int64).reshape(-1, nv), CF, CJ)
+            has = f.E.T > 0  # (nv x terms): d/dx_j keeps the terms with x_j
+            E += [f.E, (f.E[None] - shift)[has]]
+            c += [f.c, (f.c * f.E.T)[has]]
+            to += [np.full(len(f.c), i), rows + i * nv + np.nonzero(has)[0]]
+        columns, at = _columns(np.concatenate(E))
+        C = np.zeros((rows * (nv + 1), len(columns)), dtype=np.complex128)
+        np.add.at(C, (np.concatenate(to), at), np.concatenate(c))
+        super().__init__(columns, C[:rows], C[rows:])
 
 
 class StraightLineHomotopy:
@@ -218,12 +228,11 @@ class StraightLineHomotopy:
         self.target = target
         self.start = start
         self.gamma = gamma
-        columns = {}
-        where = [[columns.setdefault(e, len(columns)) for e in map(tuple, s.E.tolist())]
-                 for s in (target, start)]
+        E, at = _columns(np.concatenate([target.E, start.E]))
+        where = (at[:len(target.E)], at[len(target.E):])
 
         def spread(C, k):  # table k's coefficients on the merged columns
-            out = np.zeros((len(C), len(columns)), dtype=np.complex128)
+            out = np.zeros((len(C), len(E)), dtype=np.complex128)
             out[:, where[k]] = C
             return out
 
@@ -233,7 +242,6 @@ class StraightLineHomotopy:
         fixed = list(fixed)
         DF[fixed] = 0
         DJ.reshape(target.rows, target.nv, -1)[fixed] = 0  # a view: zeroes DJ's rows
-        E = np.array(list(columns), dtype=np.int64).reshape(-1, target.nv)
         self._table = _Table(E, np.vstack([CF, DF]), np.vstack([CJ, DJ]))
 
     def eval(self, X, t, jac=True):
@@ -247,18 +255,38 @@ class StraightLineHomotopy:
 
 
 def _solve(A, b):
+    """One system: LAPACK's solve, or least squares where LAPACK finds A singular.
+
+    A NaN in A can also read as singular; least squares would then raise (and
+    LAPACK print), so a non-finite system gets a NaN solution instead.
+    """
     try:
         return np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            return np.full_like(b, complex("nan+nanj"))
         return np.linalg.lstsq(A, b, rcond=None)[0]
 
 
+@functools.cache
+def _gesv():
+    """LAPACK's batched zgesv: the gufunc np.linalg.solve calls, without its wrapper."""
+    return np.linalg._umath_linalg.solve1
+
+
 def _solve_rows(A, b):
-    """Solve A[k] x = b[k] for every k; singular stacks fall back row by row."""
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return np.array([_solve(Ak, bk) for Ak, bk in zip(A, b)])
+    """Solve A[k] x = b[k] for every k: one zgesv call, row by row if a result is not finite.
+
+    The caller ignores invalid values in numpy's error state, so a singular
+    A[k] gives a NaN row instead of raising; the row-by-row fallback then
+    solves it by least squares.  A finite result is bitwise that of
+    np.linalg.solve, which makes the same call.
+    """
+    x = _gesv()(A, b, signature="DD->D")
+    # a non-finite entry makes the sum non-finite; a finite sum that overflows costs a fallback
+    if cmath.isfinite(np.add.reduce(x, axis=None)):
+        return x
+    return np.array([_solve(Ak, bk) for Ak, bk in zip(A, b)])
 
 
 def _newton(evaluate, X, tol, iters, scaled):
@@ -266,21 +294,25 @@ def _newton(evaluate, X, tol, iters, scaled):
 
     `evaluate(rows, X[rows], jac)` gives F and J there.  A row converges
     when max|F| <= tol, times max(1, max|x|) if `scaled`.  Returns the
-    converged mask and each row's last max|F|.
+    converged mask and each row's last max|F|.  The unconverged rows are
+    carried forward compacted and written back to X after each step.
     """
     res = np.empty(len(X))
     ok = np.zeros(len(X), dtype=bool)
     todo = np.arange(len(X))
+    Y = X
     for it in range(iters + 1):
-        F, J = evaluate(todo, X[todo], it < iters)
-        res[todo] = np.abs(F).max(axis=1)
-        bound = tol * np.maximum(1.0, np.abs(X[todo]).max(axis=1)) if scaled else tol
-        conv = res[todo] <= bound
-        ok[todo[conv]] = True
-        todo = todo[~conv]
-        if it == iters or not todo.size:
+        F, J = evaluate(todo, Y, it < iters)
+        r = np.maximum.reduce(np.abs(F), axis=1)
+        res[todo] = r
+        conv = r <= (tol * np.maximum(1.0, np.maximum.reduce(np.abs(Y), axis=1)) if scaled else tol)
+        ok[todo] = conv
+        if it == iters or conv.all():
             break
-        X[todo] += _solve_rows(J[~conv], -F[~conv])
+        keep = ~conv
+        todo = todo[keep]
+        Y = Y[keep] + _solve_rows(J[keep], -F[keep])
+        X[todo] = Y
     return ok, res
 
 
@@ -295,45 +327,54 @@ def track_paths(starts, homotopy: StraightLineHomotopy) -> list[PathEndpoint]:
     The endpoints are polished by extra Newton steps on the target system.
     Step underflow or a norm blowup yields status "diverged"; an endpoint
     where Newton stalls yields "singular".
+
+    The state of the moving paths (x, t, dt, streak, halvings, Hx, Ht) is
+    kept compacted, one row per path, and updated by masks; it is compacted
+    again only when a path reaches t = 0 or is lost.  Masks select values
+    and change no arithmetic, so each path takes the same steps, to the
+    bit, as when its state was gathered and scattered by index.
     """
     X = np.array(starts, dtype=np.complex128)
     p = len(X)
-    t = np.ones(p)
-    dt = np.full(p, INITIAL_STEP)
-    halvings = np.zeros(p, dtype=np.int64)
-    streak = np.zeros(p, dtype=np.int64)
     lost = np.zeros(p, dtype=bool)
+    ids = np.arange(p)  # row k of the moving state is path ids[k]
+    x, t, dt = X, np.ones(p), np.full(p, INITIAL_STEP)
+    streak = np.zeros(p, dtype=np.int64)
+    halvings = np.zeros(p, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, HX, HT = homotopy.eval(X, t)  # each path's Hx and Ht at (X, t)
-        while True:
-            idx = np.flatnonzero(~lost & (t > 0))
-            if not idx.size:
-                break
-            tk = t[idx]
-            step = np.minimum(dt[idx], tk)
-            tn = tk - step
-            hx, ht = HX[idx], HT[idx]  # copies; the corrector overwrites them below
-            xn = X[idx] - _solve_rows(hx, -ht) * step[:, None]  # dx/dt = -Hx^{-1} Ht
+        _, Hx, Ht = homotopy.eval(x, t)  # each path's Hx and Ht at (x, t)
+        while len(ids):
+            step = np.minimum(dt, t)
+            tn = t - step
+            xn = x - _solve_rows(Hx, -Ht) * step[:, None]  # dx/dt = -Hx^{-1} Ht
+            hx, ht = np.empty_like(Hx), np.empty_like(Ht)
 
             def corrector(k, Y, jac):
                 # with Hx every time: an accepted row's last evaluation feeds its next prediction
-                H, Hx, Ht = homotopy.eval(Y, tn[k])
-                hx[k], ht[k] = Hx, Ht
-                return H, Hx
+                H, Hxk, Htk = homotopy.eval(Y, tn[k])
+                hx[k], ht[k] = Hxk, Htk
+                return H, Hxk
 
             ok, _ = _newton(corrector, xn, CORRECTOR_TOL, NEWTON_ITERS, scaled=True)
-            acc, rej = idx[ok], idx[~ok]
-            X[acc], t[acc] = xn[ok], tn[ok]
-            HX[acc], HT[acc] = hx[ok], ht[ok]  # a rejected row keeps those of its old point
-            streak[acc] += 1
-            grow = acc[streak[acc] >= 4]
-            dt[grow] = np.minimum(dt[grow] * 2, MAX_STEP)
+            rej = ~ok  # a rejected row keeps its old point, Hx and Ht
+            x = np.where(ok[:, None], xn, x)
+            t = np.where(ok, tn, t)
+            Hx = np.where(ok[:, None, None], hx, Hx)
+            Ht = np.where(ok[:, None], ht, Ht)
+            streak = np.where(ok, streak + 1, 0)
+            grow = streak >= 4
+            dt = np.where(grow, np.minimum(dt * 2, MAX_STEP), np.where(ok, dt, dt / 2))
             streak[grow] = 0
-            streak[rej] = 0
-            dt[rej] /= 2
-            halvings[rej] += 1
-            lost[rej[(dt[rej] < MIN_STEP) | (halvings[rej] > MAX_STEP_HALVINGS)]] = True
-            lost[idx[np.abs(X[idx]).max(axis=1) > BLOWUP]] = True
+            halvings += rej
+            gone = rej & ((dt < MIN_STEP) | (halvings > MAX_STEP_HALVINGS))
+            gone |= np.maximum.reduce(np.abs(x), axis=1) > BLOWUP
+            done = gone | (t <= 0)
+            if done.any():
+                X[ids[done]] = x[done]
+                lost[ids[gone]] = True
+                keep = ~done
+                ids, x, t, dt, streak, halvings, Hx, Ht = (
+                    a[keep] for a in (ids, x, t, dt, streak, halvings, Hx, Ht))
         res = np.full(p, np.inf)
         fin = np.flatnonzero(~lost)
         Y = X[fin]
@@ -401,14 +442,17 @@ def _gauss(rng):
 
 def _random_combination(ring, gens, m, rng):
     """A random complex degree-m element of the ideal: sum lambda_i h_i."""
-    out = {}
+    Es, cs = [], []
     for g in gens:
         lam = np.array(list(ring.monomials_of_degree(m - g.degree())), dtype=np.int64)
         coef = np.array([_gauss(rng) for _ in range(len(lam))])
-        E = (lam[:, None, :] + g.E[None, :, :]).reshape(-1, ring.nvars)
-        for e, c in zip(map(tuple, E.tolist()), np.outer(coef, g.c).ravel().tolist()):
-            out[e] = out.get(e, 0j) + c
-    return {e: c for e, c in out.items() if abs(c) > 1e-300}
+        Es.append((lam[:, None, :] + g.E[None, :, :]).reshape(-1, ring.nvars))
+        cs.append(np.outer(coef, g.c).ravel())
+    E, at = _columns(np.concatenate(Es))
+    c = np.zeros(len(E), dtype=np.complex128)
+    np.add.at(c, at, np.concatenate(cs))  # in term order, as a running sum per monomial
+    keep = np.abs(c) > 1e-300
+    return dict(zip(map(tuple, E[keep].tolist()), c[keep].tolist()))
 
 
 def _linear_form(nv, rng):

@@ -14,7 +14,11 @@ characteristics.  Residual degrees by iterated saturation are the reference
 for the sliced GF(p) count.  The Buchberger criterion checks a basis by its
 S-polynomials alone, dehomogenization is the inverse homogenization is
 checked against, and pointwise evaluation checks restrictions and
-Jacobians at known points.
+Jacobians at known points.  The path tracker with its state gathered and
+scattered by index, and a wrapped np.linalg.solve per batch, is the
+reference the compact step kernel must match byte for byte, and the
+term-by-term partial derivative of a numeric polynomial is the reference for
+the Jacobian block of its compiled table.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from charclass import (
     s_polynomial,
     saturation,
 )
+from charclass import homotopy
 
 PRIME = 2147483647  # 2^31 - 1, inside the CLI's default sampling range
 ROOT = Path(__file__).resolve().parents[1]
@@ -440,3 +445,115 @@ def _polymul(a, b, p):
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
     return out
+
+
+def npoly_partial(f, j):
+    """d f / d x_j of a homotopy._NPoly, term by term.
+
+    The reference for the Jacobian block that homotopy._Square compiles.
+    """
+    np = homotopy.np
+    mask = f.E[:, j] > 0
+    E = f.E[mask].copy()
+    c = f.c[mask] * E[:, j]
+    E[:, j] -= 1
+    return homotopy._NPoly(E, c, f.nv)
+
+
+def reference_solve(A, b):
+    """One system by np.linalg.solve, by least squares if it is singular."""
+    np = homotopy.np
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(A, b, rcond=None)[0]
+
+
+def _reference_solve_rows(A, b):
+    """Solve A[k] x = b[k] for every k; singular stacks fall back row by row."""
+    np = homotopy.np
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.array([reference_solve(Ak, bk) for Ak, bk in zip(A, b)])
+
+
+def _reference_newton(evaluate, X, tol, iters, scaled):
+    """Newton steps in place on the rows of X that have not yet converged."""
+    np = homotopy.np
+    res = np.empty(len(X))
+    ok = np.zeros(len(X), dtype=bool)
+    todo = np.arange(len(X))
+    for it in range(iters + 1):
+        F, J = evaluate(todo, X[todo], it < iters)
+        res[todo] = np.abs(F).max(axis=1)
+        bound = tol * np.maximum(1.0, np.abs(X[todo]).max(axis=1)) if scaled else tol
+        conv = res[todo] <= bound
+        ok[todo[conv]] = True
+        todo = todo[~conv]
+        if it == iters or not todo.size:
+            break
+        X[todo] += _reference_solve_rows(J[~conv], -F[~conv])
+    return ok, res
+
+
+def reference_track_paths(starts, hom):
+    """homotopy.track_paths with the path state gathered and scattered by index.
+
+    The reference for the tracker's step kernel: every path advances over
+    the full arrays through fancy-index reads and writes, each batch solve
+    goes through np.linalg.solve, and Newton gathers the unconverged rows
+    again at each iteration.  Same step rules, tolerances and arithmetic,
+    so the endpoints must agree byte for byte.
+    """
+    np = homotopy.np
+    X = np.array(starts, dtype=np.complex128)
+    p = len(X)
+    t = np.ones(p)
+    dt = np.full(p, homotopy.INITIAL_STEP)
+    halvings = np.zeros(p, dtype=np.int64)
+    streak = np.zeros(p, dtype=np.int64)
+    lost = np.zeros(p, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, HX, HT = hom.eval(X, t)
+        while True:
+            idx = np.flatnonzero(~lost & (t > 0))
+            if not idx.size:
+                break
+            tk = t[idx]
+            step = np.minimum(dt[idx], tk)
+            tn = tk - step
+            hx, ht = HX[idx], HT[idx]
+            xn = X[idx] - _reference_solve_rows(hx, -ht) * step[:, None]
+
+            def corrector(k, Y, jac):
+                H, Hx, Ht = hom.eval(Y, tn[k])
+                hx[k], ht[k] = Hx, Ht
+                return H, Hx
+
+            ok, _ = _reference_newton(corrector, xn, homotopy.CORRECTOR_TOL,
+                                      homotopy.NEWTON_ITERS, scaled=True)
+            acc, rej = idx[ok], idx[~ok]
+            X[acc], t[acc] = xn[ok], tn[ok]
+            HX[acc], HT[acc] = hx[ok], ht[ok]
+            streak[acc] += 1
+            grow = acc[streak[acc] >= 4]
+            dt[grow] = np.minimum(dt[grow] * 2, homotopy.MAX_STEP)
+            streak[grow] = 0
+            streak[rej] = 0
+            dt[rej] /= 2
+            halvings[rej] += 1
+            lost[rej[(dt[rej] < homotopy.MIN_STEP)
+                     | (halvings[rej] > homotopy.MAX_STEP_HALVINGS)]] = True
+            lost[idx[np.abs(X[idx]).max(axis=1) > homotopy.BLOWUP]] = True
+        res = np.full(p, np.inf)
+        fin = np.flatnonzero(~lost)
+        Y = X[fin]
+        _, res[fin] = _reference_newton(
+            lambda k, Z, jac: hom.target.eval(Z, jac),
+            Y, homotopy.CORRECTOR_TOL, homotopy.ENDPOINT_NEWTON, scaled=False,
+        )
+    X[fin] = Y
+    tol = homotopy.CORRECTOR_TOL
+    status = np.select([res <= tol, res < 1e-4], ["converged", "singular"], "diverged")
+    return [homotopy.PathEndpoint(x.copy(), str(s)) for x, s in zip(X, status)]

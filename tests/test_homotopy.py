@@ -4,6 +4,7 @@ import cmath
 import itertools
 import logging
 import random
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charclass import (
+    FieldSpec,
     Ideal,
+    Ring,
     StraightLineHomotopy,
     jacobian_ideal,
     residual_degrees_numeric,
@@ -28,11 +31,12 @@ from charclass.homotopy import (
     _Square,
     _level_system,
     _lift,
+    _solve_rows,
     classify_endpoint,
     track_paths,
 )
 
-from helpers import PRIME
+from helpers import PRIME, npoly_partial, reference_solve, reference_track_paths
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 
@@ -158,6 +162,108 @@ class TestFoldedHomotopy:
         track_paths(starts, hom)
         assert len(seen) > len(starts)
         assert len(seen) == len(set(seen))
+
+
+def _p1xp2_minors():
+    R = Ring(tuple(f"x{i}" for i in range(6)), FieldSpec(PRIME))
+    x = R.gens()
+    return Ideal(R, [x[0] * x[4] - x[1] * x[3], x[0] * x[5] - x[2] * x[3],
+                     x[1] * x[5] - x[2] * x[4]])
+
+
+class TestReferenceTracker:
+    """The compact step kernel against the index-gathering reference tracker."""
+
+    @pytest.mark.parametrize("case", [
+        "twisted_cubic", "nodal_jacobian", "smooth_conic", "p1xp2_minors_81_paths"])
+    def test_endpoints_byte_equal(self, case, twisted_cubic, nodal_cubic, P2):
+        # (ideal, [(level d, degree m)], seeds)
+        I, levels, seeds = {
+            "twisted_cubic": (twisted_cubic, [(2, 2), (3, 2)], range(10)),
+            "nodal_jacobian": (Ideal(P2, jacobian_ideal(nodal_cubic).gens), [(2, 2)], range(10)),
+            "smooth_conic": (Ideal(P2, [sum(v * v for v in P2.gens())]), [(1, 2), (2, 2)],
+                             range(10)),
+            "p1xp2_minors_81_paths": (_p1xp2_minors(), [(4, 3)], [0]),
+        }[case]
+        gens = [_lift(g, I.ring.nvars) for g in I.gens]
+        for seed in seeds:
+            for d, m in levels:
+                _, hom, starts = _level_system(I.ring, gens, d, m, random.Random(seed))
+                _, ref_hom, ref_starts = _level_system(I.ring, gens, d, m, random.Random(seed))
+                got = track_paths(starts, hom)
+                want = reference_track_paths(ref_starts, ref_hom)
+                assert len(got) == len(want) == m**d
+                assert [e.status for e in got] == [e.status for e in want], (seed, d)
+                assert (np.array([e.point for e in got]).tobytes()
+                        == np.array([e.point for e in want]).tobytes()), (seed, d)
+
+
+class TestSolveRows:
+    WELL_POSED = ([[2, 1j], [1, 3]], [1, 2 - 1j])
+    SINGULAR = ([[1, 2], [2, 4]], [1, 1])  # finite and exactly singular
+    NAN_RHS = ([[2, 1], [1, 3]], [np.nan, 1])
+    NAN_MATRIX = ([[np.nan, 1], [1, 1]], [1, 1])  # LAPACK's solve calls it singular
+
+    @staticmethod
+    def _stack(*rows):
+        return (np.array([A for A, _ in rows], dtype=complex),
+                np.array([b for _, b in rows], dtype=complex))
+
+    @staticmethod
+    def _solve_rows_as_tracked(A, b):
+        # the tracker's error state, with every warning an error
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            return _solve_rows(A, b)
+
+    def test_singular_and_nan_rows_match_row_by_row(self):
+        A, b = self._stack(self.WELL_POSED, self.SINGULAR, self.NAN_RHS)
+        want = np.array([reference_solve(Ak, bk) for Ak, bk in zip(A, b)])
+        got = self._solve_rows_as_tracked(A, b)
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got[:2]).all() and not np.isfinite(got[2]).any()
+
+    def test_nan_matrix_gives_a_nan_row_without_raising(self, capfd):
+        # least squares would raise on it (and LAPACK would print): the row
+        # stays NaN, so the corrector rejects the step
+        A, b = self._stack(self.WELL_POSED, self.NAN_MATRIX, self.SINGULAR)
+        got = self._solve_rows_as_tracked(A, b)
+        assert not np.isfinite(got[1]).any()
+        for k in (0, 2):
+            assert got[k].tobytes() == reference_solve(A[k], b[k]).tobytes()
+        assert capfd.readouterr() == ("", "")
+
+    def test_finite_stack_matches_np_linalg_solve_bitwise(self):
+        gen = np.random.default_rng(3)
+        A = gen.normal(size=(7, 4, 4)) + 1j * gen.normal(size=(7, 4, 4))
+        b = gen.normal(size=(7, 4)) + 1j * gen.normal(size=(7, 4))
+        want = np.linalg.solve(A, b[..., None])[..., 0]
+        assert self._solve_rows_as_tracked(A, b).tobytes() == want.tobytes()
+
+
+class TestTableEdges:
+    """Power tables of degree 0 and 1 against term-by-term evaluation and partials."""
+
+    @pytest.mark.parametrize("rows, nv", [
+        ([{(0,): 1.0}], 1),  # demo 06's constant target: dmax = 0
+        ([{(0, 0): 0.5 - 2j}, {(0, 0): 3.0}], 2),
+        ([{(1, 0, 0): 1.5, (0, 1, 0): -2j, (0, 0, 0): 0.25},
+          {(0, 0, 1): 1.0, (1, 0, 0): 0.5 + 0.5j},
+          {(0, 1, 0): 2.0, (0, 0, 1): -1.0, (0, 0, 0): -1.0}], 3),  # linear rows: dmax = 1
+    ])
+    def test_matches_npoly_eval_and_partial(self, rows, nv):
+        polys = [_NPoly.from_terms(r, nv) for r in rows]
+        table = _Square(polys)
+        assert table._dmax == max(max(e) for r in rows for e in r)
+        gen = np.random.default_rng(11)
+        X = gen.normal(size=(5, nv)) + 1j * gen.normal(size=(5, nv))
+        F, J = table.eval(X)
+        assert F.shape == (5, len(polys)) and J.shape == (5, len(polys), nv)
+        for k, x in enumerate(X):
+            for i, f in enumerate(polys):
+                assert abs(F[k, i] - f.eval(x)) <= 1e-12
+                for j in range(nv):
+                    assert abs(J[k, i, j] - npoly_partial(f, j).eval(x)) <= 1e-12
 
 
 _COEF = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
