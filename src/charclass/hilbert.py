@@ -8,10 +8,13 @@ computation is the classical divide-and-conquer pivot recursion
 
 on minimal generating sets, with closed forms for the base cases (pairwise
 coprime generators; pure powers plus at most one mixed generator) and
-memoization on the generator set.
+memoization on the generator set.  The dimension and degree, and dim_k I_d
+in each degree d, are read off N(t) without another recursion.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 
 def poly_mul(a, b):
@@ -129,13 +132,17 @@ def _numerator(ms, memo):
 
 
 def dimension_degree(gens, nvars: int):
-    """(Krull dimension of S/I, degree) from the Hilbert numerator.
+    """(Krull dimension of S/I, degree) of the monomial ideal generated by gens."""
+    return numerator_dimension_degree(numerator(gens, nvars), nvars)
+
+
+def numerator_dimension_degree(n, nvars: int):
+    """(Krull dimension of S/I, degree) from the Hilbert numerator n of S/I.
 
     Returns (0, None) for the unit ideal.  The Krull dimension is the pole
     order of the series at t=1; the degree is the numerator value at t=1
     after the pole is cleared.
     """
-    n = numerator(gens, nvars)
     if all(c == 0 for c in n):
         return 0, None
     e = 0
@@ -151,3 +158,13 @@ def dimension_degree(gens, nvars: int):
     dim = nvars - e
     degree = sum(n)
     return dim, degree
+
+
+def graded_dimension(n, nvars: int, d: int) -> int:
+    """dim_k I_d from the Hilbert numerator n of S/I.
+
+    dim_k S_d = C(d + nvars - 1, nvars - 1) minus dim_k (S/I)_d, the
+    coefficient of t^d in n(t) / (1 - t)^nvars.
+    """
+    series = sum(c * comb(d - i + nvars - 1, nvars - 1) for i, c in enumerate(n[:d + 1]))
+    return comb(d + nvars - 1, nvars - 1) - series

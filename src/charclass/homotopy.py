@@ -44,7 +44,10 @@ fresh random data.
 The tolerances and limits (corrector and on-variety tolerances, step sizes,
 Newton iterations) are the module constants below; no argument overrides
 them.  The levels and their retries are segre.level_degrees', shared with
-the symbolic backend.
+the symbolic backend.  Only the levels d below dim_k I_m are tracked: at a
+level d >= dim_k I_m the d target rows span all of I_m, deg R_d = 0, and
+level_degrees answers it without calling this backend, so the m^d paths
+that would all end on the singular target are never started.
 
 numpy is loaded on the first numeric call, not at import, so a symbolic run
 never executes it.
@@ -418,9 +421,10 @@ def residual_degrees_numeric(I: Ideal, rng=None, m: int | None = None) -> segre.
     """Residual degrees of V(I) by counting non-solutions per level.
 
     Levels, m and the retry budget are segre.level_degrees'; the counts come
-    from tracking the m^d total-degree paths of each sliced system.  A level
-    is rerun with fresh randomness on ambiguity or when it fails to account
-    for every path, and a persistent failure is a NumericBackendError.
+    from tracking the m^d total-degree paths of each sliced system, at the
+    levels d below dim_k I_m only.  A level is rerun with fresh randomness on
+    ambiguity or when it fails to account for every path, and a persistent
+    failure is a NumericBackendError.
     """
     rng = rng or random.Random()
     gens = [_lift(g, I.ring.nvars) for g in I.gens]

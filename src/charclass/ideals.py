@@ -22,10 +22,12 @@ _TAG = "t#"  # cannot collide with parsed identifiers
 
 @dataclass(frozen=True)
 class SchemeStats:
-    """Projective dimension (-1 for the empty scheme) and degree."""
+    """Projective dimension (-1 for the empty scheme), degree, and the
+    Hilbert series numerator of S/I they were read from."""
 
     dim: int
     degree: int | None
+    numerator: tuple
 
 
 class Ideal:
@@ -87,21 +89,22 @@ def dimension_and_degree(I: Ideal) -> SchemeStats:
     """Projective dimension and degree of Proj(S/I) via Hilbert series.
 
     The zero ideal short-circuits to (n, 1).  The unit ideal and other
-    irrelevant-supported ideals report the empty scheme (-1, None).
+    irrelevant-supported ideals report the empty scheme (-1, None).  The
+    numerator is kept, so hilbert.graded_dimension needs no second recursion.
     """
     n = I.ring.nvars - 1
     if I.is_zero:
-        return SchemeStats(n, 1)
+        return SchemeStats(n, 1, (1,))
     if I._stats is not None:
         return I._stats
     gb = I.groebner()
     codec = I.ring.codec
-    lms = [codec.unpack(g.lm()) for g in gb]
-    dim_krull, degree = hilbert.dimension_degree(lms, I.ring.nvars)
+    numerator = tuple(hilbert.numerator([codec.unpack(g.lm()) for g in gb], n + 1))
+    dim_krull, degree = hilbert.numerator_dimension_degree(numerator, n + 1)
     if degree is None or dim_krull == 0:
-        stats = SchemeStats(-1, None)
+        stats = SchemeStats(-1, None, numerator)
     else:
-        stats = SchemeStats(dim_krull - 1, degree)
+        stats = SchemeStats(dim_krull - 1, degree, numerator)
     I._stats = stats
     return stats
 

@@ -30,6 +30,19 @@ Both backends run one level loop (level_degrees), which owns the levels,
 m and the LEVEL_RETRIES draws per level; a backend supplies the count of
 one level from one draw.  deg s_0 >= deg I is checked once, in _residuals.
 
+The loop answers every level d >= D = dim_k I_m itself, with deg R_d = 0,
+and calls no backend there.  The residual degrees are the projective
+degrees of the map P^n --> P^(D-1) given by a basis of I_m, and those
+vanish above the dimension of its image (Helmer, above).  Directly: I is
+generated in degrees <= m, so I_{m+j} = S_j I_m and (I_m) = I_{>=m} has
+the saturation of I; d >= D random elements of I_m span I_m, so they cut
+out X as a scheme and the residual is empty.  Since D elements of I_m cut
+out X, D >= codim X, so the rule only removes top levels; the levels below
+D draw the same randomness as they would without it.  D comes from the
+Hilbert numerator of I that dimension_and_degree keeps, as C(n+m, n) minus
+the Hilbert function of S/I at m; the zero ideal has D = 0, which also
+answers its one level d = 0.
+
 The count always runs over GF(p).  Over QQ the symbolic backend never
 computes a rational Groebner basis: each public entry point (here and in
 the csm module) is decorated with on_prime_images, which reduces a
@@ -143,9 +156,15 @@ def level_degrees(I: Ideal, m: int | None, count, fail) -> ResidualDegrees:
     """Residual degrees of X = V(I) at the levels d = n-k..n, for both backends.
 
     m defaults to the maximum generator degree and may only be raised.
-    count(d, m) is the backend's deg R_d from one random draw, or a string
-    saying why the draw must be repeated; a level that gets no degree in
-    LEVEL_RETRIES draws raises fail(d, last reason).
+    A level d >= D = dim_k I_m has deg R_d = 0 and is not counted: I_{m+j}
+    = S_j I_m, so (I_m) and I have the same saturation, and d >= D random
+    elements of I_m span I_m, so they cut out X as a scheme and leave no
+    residual.  D >= codim X, so only top levels are answered this way, and
+    the levels below D draw the same randomness as without the rule.  D is
+    read off the Hilbert numerator dimension_and_degree keeps; the zero
+    ideal has D = 0.  count(d, m) is the backend's deg R_d from one random
+    draw, or a string saying why the draw must be repeated; a level that
+    gets no degree in LEVEL_RETRIES draws raises fail(d, last reason).
     """
     mmax = I.max_degree() if not I.is_zero else 1
     if m is None:
@@ -153,14 +172,16 @@ def level_degrees(I: Ideal, m: int | None, count, fail) -> ResidualDegrees:
     elif m < mmax:
         raise DomainError(f"degree bound {m} below maximum generator degree {mmax}")
     n = I.ring.nvars - 1
-    k = dimension_and_degree(I).dim
+    stats = dimension_and_degree(I)
+    k = stats.dim
     if k < 0:
         raise DomainError("residual degrees need a nonempty scheme")
+    dim_im = hilbert.graded_dimension(stats.numerator, n + 1, m)
     degrees = {}
     for d in range(n - k, n + 1):
-        if d == 0:
-            # X is all of P^n; nothing is cut and nothing is residual
-            degrees[0] = 0
+        if d >= dim_im:
+            log.debug("level %d: deg R_d = 0, d >= dim I_m = %d", d, dim_im)
+            degrees[d] = 0
             continue
         for attempt in range(LEVEL_RETRIES):
             degree = count(d, m)

@@ -11,14 +11,15 @@ the removed hypersurface into every generator product, as the library did
 before it cut open sets by hyperplane sections.  The ML degree from the
 likelihood equations uses neither inclusion-exclusion nor Euler
 characteristics.  Residual degrees by iterated saturation are the reference
-for the sliced GF(p) count.  The Buchberger criterion checks a basis by its
-S-polynomials alone, dehomogenization is the inverse homogenization is
-checked against, and pointwise evaluation checks restrictions and
-Jacobians at known points.  The path tracker with its state gathered and
-scattered by index, and a wrapped np.linalg.solve per batch, is the
-reference the compact step kernel must match byte for byte, and the
-term-by-term partial derivative of a numeric polynomial is the reference for
-the Jacobian block of its compiled table.
+for the sliced GF(p) count, and the rank of the degree-m multiples of the
+generators is the reference for dim_k I_m.  The Buchberger criterion checks
+a basis by its S-polynomials alone, dehomogenization is the inverse
+homogenization is checked against, and pointwise evaluation checks
+restrictions and Jacobians at known points.  The path tracker with its
+state gathered and scattered by index, and a wrapped np.linalg.solve per
+batch, is the reference the compact step kernel must match byte for byte,
+and the term-by-term partial derivative of a numeric polynomial is the
+reference for the Jacobian block of its compiled table.
 """
 
 from __future__ import annotations
@@ -159,6 +160,46 @@ def residual_degrees_saturation(I, rng, m=None, retries=3) -> ResidualDegrees:
         else:
             raise GenericityError(f"saturation at level {d} failed the dimension check")
     return ResidualDegrees(n, k, m, degrees)
+
+
+def graded_dimension_by_rank(I, m) -> int:
+    """dim_k I_m as the rank of the products x^a * g_i with |a| = m - deg g_i.
+
+    The reference for hilbert.graded_dimension, which reads dim_k I_m off
+    the Hilbert numerator of a Groebner basis: here the coefficient vectors of
+    the products are row reduced over the ring's field, and no basis of I is
+    computed.
+    """
+    ring = I.ring
+    p = ring.field.p
+    unpack = ring.codec.unpack
+
+    def reduce(c):
+        return c % p if p else Fraction(c)
+
+    def inverse(c):
+        return pow(c, -1, p) if p else 1 / c
+
+    pivots = {}  # leading exponent -> row with leading coefficient 1
+    for g in I.gens:
+        terms = [(unpack(k), c) for k, c in g._t.items()]
+        for a in ring.monomials_of_degree(m - g.total_degree()):
+            row = {tuple(x + y for x, y in zip(a, e)): reduce(c) for e, c in terms}
+            while row:
+                lead = max(row)
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    inv = inverse(row[lead])
+                    pivots[lead] = {e: reduce(c * inv) for e, c in row.items()}
+                    break
+                scale = row[lead]
+                for e, c in pivot.items():
+                    v = reduce(row.get(e, 0) - scale * c)
+                    if v:
+                        row[e] = v
+                    else:
+                        row.pop(e, None)
+    return len(pivots)
 
 
 def lcm_oracle(codec, a: int, b: int) -> int:

@@ -372,15 +372,20 @@ class TestNumericResiduals:
 
 class TestPathAccounting:
     def test_total_paths_equal_bezout(self, twisted_cubic, caplog):
-        # every level puts each of its m^d paths in exactly one bucket
+        # every level puts each of its m^d paths in exactly one bucket; with
+        # m = 3, dim I_3 = 10, so both levels 2 and 3 are tracked
         caplog.set_level(logging.DEBUG, logger="charclass.homotopy")
-        residual_degrees_numeric(twisted_cubic, random.Random(0))
-        histograms = {
-            r.args[0]: r.args[1] for r in caplog.records if "path histogram" in r.msg
-        }
-        assert set(histograms) == {2, 3}
-        assert {d: sum(h.values()) for d, h in histograms.items()} == {2: 2**2, 3: 2**3}
-        assert set(histograms[2]) == {"solution", "non-solution", "singular", "diverged"}
+        for seed in range(4):
+            caplog.clear()
+            res = residual_degrees_numeric(twisted_cubic, random.Random(seed), m=3)
+            assert res.degrees == {2: 6, 3: 10}, seed
+            histograms = {
+                r.args[0]: r.args[1] for r in caplog.records if "path histogram" in r.msg
+            }
+            assert set(histograms) == {2, 3}
+            assert {d: sum(h.values()) for d, h in histograms.items()} == {2: 3**2, 3: 3**3}
+            for h in histograms.values():
+                assert set(h) == {"solution", "non-solution", "singular", "diverged"}
 
     def test_lost_path_raises(self, twisted_cubic, monkeypatch):
         # a tracker that drops a path fails the level instead of lowering

@@ -2,6 +2,8 @@
 random elements."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +21,9 @@ from charclass import (
     saturation,
 )
 
-from helpers import PRIME, evaluate
+from charclass import hilbert
+
+from helpers import PRIME, evaluate, graded_dimension_by_rank
 
 
 class TestDimensionDegree:
@@ -59,6 +63,57 @@ class TestDimensionDegree:
             st = dimension_and_degree(Ideal(P3, gens))
             assert st.dim == 3 - c
             assert st.degree == math.prod(degs)
+
+
+def _sparse_form(ring, degree, rng):
+    """One to three monomials of the given degree with random nonzero coefficients."""
+    monomials = list(ring.monomials_of_degree(degree))
+    chosen = rng.sample(monomials, min(len(monomials), rng.randrange(1, 4)))
+    return ring.from_exp_dict({e: ring.field.uniform_nonzero(rng) for e in chosen})
+
+
+def graded_dimension(I, m):
+    """dim_k I_m as level_degrees reads it, off the kept Hilbert numerator."""
+    return hilbert.graded_dimension(dimension_and_degree(I).numerator, I.ring.nvars, m)
+
+
+class TestGradedDimension:
+    """dim_k I_m from the Hilbert numerator against the rank of the multiples."""
+
+    def test_random_small_ideals(self, P2, P3):
+        rng = random.Random(311)
+        for i in range(40):
+            ring = (P2, P3)[i % 2]
+            gens = [_sparse_form(ring, rng.randrange(1, 4), rng)
+                    for _ in range(rng.randrange(1, 4))]
+            g = rng.choice(gens)
+            same = [h for h in gens if h.total_degree() == g.total_degree()]
+            gens.append(g)  # a duplicate
+            gens.append(sum((ring.const(ring.field.uniform(rng)) * h for h in same),
+                            ring.zero()))  # a linear combination
+            gens.append(g * ring.random_form(1, rng))  # a multiple of a generator
+            I = Ideal(ring, gens)
+            for m in range(I.max_degree(), I.max_degree() + 3):
+                assert graded_dimension(I, m) == graded_dimension_by_rank(I, m), (str(I), m)
+
+    def test_twisted_cubic(self, twisted_cubic):
+        # three quadrics; in degree 3 their 12 multiples satisfy the two
+        # syzygies of the 2x3 matrix of linear forms
+        assert [graded_dimension(twisted_cubic, m) for m in (2, 3)] == [3, 10]
+        for m in (2, 3, 4):
+            assert graded_dimension(twisted_cubic, m) == graded_dimension_by_rank(twisted_cubic, m)
+
+    def test_rational_ideal(self):
+        R = Ring(("x", "y", "z"), FieldSpec(0))
+        x, y, z = R.gens()
+        I = Ideal(R, [x * x, Fraction(1, 3) * x * y, x * x + Fraction(2, 5) * x * y])
+        for m in (2, 3, 4):
+            assert graded_dimension(I, m) == graded_dimension_by_rank(I, m)
+
+    def test_zero_ideal(self, P3):
+        for m in range(4):
+            assert graded_dimension(Ideal(P3, []), m) == 0 == graded_dimension_by_rank(
+                Ideal(P3, []), m)
 
 
 class TestQuotient:

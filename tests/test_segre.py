@@ -211,16 +211,20 @@ def _random_singular_form(ring, degree, rng):
 class TestSlicedAgainstSaturation:
     """The sliced GF(p) route must reproduce the saturation route exactly."""
 
-    def test_golden_inclusion_exclusion_jacobians(self):
+    def test_golden_inclusion_exclusion_jacobians(self, caplog):
         rng = random.Random(301)
         checked = 0
-        for name, I in _golden_ideals().items():
-            for jac in _singular_jacobians(I, rng):
-                sliced = residual_degrees_symbolic(jac, random.Random(rng.random()))
-                oracle = residual_degrees_saturation(jac, random.Random(rng.random()))
-                assert sliced == oracle, (name, str(jac), sliced.degrees, oracle.degrees)
-                checked += 1
+        with caplog.at_level(logging.DEBUG, logger="charclass.segre"):
+            for name, I in _golden_ideals().items():
+                for jac in _singular_jacobians(I, rng):
+                    sliced = residual_degrees_symbolic(jac, random.Random(rng.random()))
+                    oracle = residual_degrees_saturation(jac, random.Random(rng.random()))
+                    assert sliced == oracle, (name, str(jac), sliced.degrees, oracle.degrees)
+                    checked += 1
         assert checked == 19
+        # levels d >= dim I_m are answered without a slice; the comparison
+        # above must reach that rule
+        assert any("d >= dim I_m" in r.getMessage() for r in caplog.records)
 
     def test_random_singular_plane_and_space_jacobians(self):
         F = FieldSpec(PRIME)
@@ -294,6 +298,44 @@ class TestSlicedAgainstSaturation:
         I = Ideal(R, [x * z - y * y, y * w - z * z, x * w - y * z])
         assert residual_degrees_symbolic(I, random.Random(5)).degrees == {2: 1, 3: 0}
         assert fields and all(fields)
+
+
+class TestLevelsFromDimIm:
+    """Levels d >= dim_k I_m are 0 without a draw, as the saturation route finds."""
+
+    @staticmethod
+    def _cases():
+        F = FieldSpec(PRIME)
+        P2 = Ring(("x", "y", "z"), F)
+        P3 = Ring(("x", "y", "z", "w"), F)
+        u, v, t = P2.gens()
+        x, y, z, w = P3.gens()
+        # (name, ideal, m, dim I_m)
+        return [
+            ("twisted cubic", Ideal(P3, [x * z - y * y, y * w - z * z, x * w - y * z]), 2, 3),
+            ("P^1 x P^2 minors", _golden_ideals()["P1xP2"], 2, 3),
+            ("smooth conic", Ideal(P2, [u * u + v * v + t * t]), 2, 1),
+            ("quadric cone jacobian", jacobian_ideal(x * x + y * y - z * z), 1, 3),
+            ("(x^2, xy)", Ideal(P3, [x * x, x * y]), 2, 2),
+            ("(x^2, xy), m = 3", Ideal(P3, [x * x, x * y]), 3, 7),
+        ]
+
+    def test_against_saturation(self, monkeypatch):
+        drawn = []
+        real = segre._sliced_degree
+
+        def spy(I, d, m, rng):
+            drawn.append(d)
+            return real(I, d, m, rng)
+
+        monkeypatch.setattr(segre, "_sliced_degree", spy)
+        rng = random.Random(307)
+        for name, I, m, dim_im in self._cases():
+            drawn.clear()
+            sliced = residual_degrees_symbolic(I, random.Random(rng.random()), m=m)
+            oracle = residual_degrees_saturation(I, random.Random(rng.random()), m=m)
+            assert sliced == oracle, (name, sliced.degrees, oracle.degrees)
+            assert set(drawn) == {d for d in sliced.degrees if d < dim_im}, name
 
 
 class TestResampling:
@@ -381,6 +423,29 @@ class TestLevelDriver:
         else:
             monkeypatch.setattr(homotopy, "_count_level", count_level)
         return drawn
+
+    @pytest.mark.parametrize("case, m, levels, degrees", [
+        ("twisted_cubic", None, {2}, {2: 1, 3: 0}),
+        ("smooth_conic", None, set(), {1: 0, 2: 0}),
+        ("twisted_cubic", 3, {2, 3}, {2: 6, 3: 10}),
+    ])
+    def test_levels_at_or_above_dim_im_are_not_drawn(self, backend, case, m, levels, degrees,
+                                                     twisted_cubic, P2, monkeypatch):
+        x, y, z = P2.gens()
+        I = {"twisted_cubic": twisted_cubic,
+             "smooth_conic": Ideal(P2, [x * x + y * y + z * z])}[case]
+        drawn = []
+        if backend == "symbolic":
+            real = segre._sliced_degree
+            monkeypatch.setattr(segre, "_sliced_degree",
+                                lambda I, d, m, rng: drawn.append(d) or real(I, d, m, rng))
+        else:
+            real = homotopy._count_level
+            monkeypatch.setattr(homotopy, "_count_level", lambda ring, gens, d, m, rng:
+                                drawn.append(d) or real(ring, gens, d, m, rng))
+        res = self._residuals(backend)(I, random.Random(0), m=m)
+        assert set(drawn) == levels
+        assert res.degrees == degrees
 
     def test_degree_bound_below_generator_degree(self, backend, twisted_cubic, rng):
         with pytest.raises(DomainError, match="degree bound 1 below maximum generator degree 2"):
