@@ -9,11 +9,12 @@ tolerances and step limits of the charclass.homotopy module constants.
 import numpy as np
 
 from charclass import StraightLineHomotopy, track_path
-from charclass.homotopy import _NPoly, _Square
+from charclass.homotopy import _Square
 
 # target x^2 - 1 (roots +-1), start x^2 - 4 (roots +-2)
-target = _Square([_NPoly.from_terms({(2,): 1.0, (0,): -1.0}, 1)])
-start = _Square([_NPoly.from_terms({(2,): 1.0, (0,): -4.0}, 1)])
+# (each system is a list of {exponents: coefficient} rows in one variable)
+target = _Square([{(2,): 1.0, (0,): -1.0}], 1)
+start = _Square([{(2,): 1.0, (0,): -4.0}], 1)
 hom = StraightLineHomotopy(target, start, gamma=complex(0.8, 0.6))
 
 for x0 in (2.0, -2.0):
@@ -22,8 +23,8 @@ for x0 in (2.0, -2.0):
 
 # a target with no finite root: the path escapes to infinity
 gone = StraightLineHomotopy(
-    _Square([_NPoly.from_terms({(0,): 1.0}, 1)]),
-    _Square([_NPoly.from_terms({(1,): 1.0, (0,): -1.0}, 1)]),
+    _Square([{(0,): 1.0}], 1),
+    _Square([{(1,): 1.0, (0,): -1.0}], 1),
     gamma=complex(0.6, 0.8),
 )
 ep = track_path(np.array([1.0 + 0j]), gone)

@@ -13,11 +13,12 @@ adaptive step halving).
 
 All m^d paths of a level are tracked together as one (paths x nv) array;
 each path keeps its own t and step size, so it takes the same steps it
-would take alone.  A system is compiled into one monomial table: the union
-of the monomials of its rows and of its Jacobian entries, so that one power
-table and one gather-product evaluate F and J at every path at once.  The
-homotopy merges the target's and the start's tables into one, with the
-coefficient blocks F and gamma G - F, so one evaluation gives H, Hx and Ht.
+would take alone.  A row is a {exponent tuple: complex} dict until its
+system is compiled into one monomial table: the union of the monomials of
+its rows and of its Jacobian entries, so that one power table and one
+gather-product evaluate F and J at every path at once.  The homotopy
+merges the target's and the start's tables into one, with the coefficient
+blocks F and gamma G - F, so one evaluation gives H, Hx and Ht.
 The predictor takes Hx and Ht from the corrector's last evaluation at the
 accepted point, so each point of a path is evaluated once.
 
@@ -32,7 +33,9 @@ per-path index gathers (tests/helpers.py keeps that tracker as the oracle).
 
 Every path ends in exactly one of four buckets: solution, non-solution,
 singular or diverged.  A level whose buckets do not add up to m^d is an
-error.  Converged endpoints that do not lie on V(I) and have a nonsingular
+error.  Whether an endpoint lies on V(I) is read from one evaluation of
+the table of the generators, each scaled to unit coefficient norm.
+Converged endpoints that do not lie on V(I) and have a nonsingular
 Jacobian are the non-solutions; their count is deg(R_d).  A nonsingular
 root ends exactly one path, so two or more well-conditioned endpoints on one
 point (solutions or not) show that a path jumped onto another's root and
@@ -115,43 +118,9 @@ class _Ambiguous(Exception):
 # -- numeric polynomials -------------------------------------------------------
 
 
-class _NPoly:
-    """Dense-array complex polynomial: exponent matrix + coefficient vector."""
-
-    __slots__ = ("E", "c", "nv")
-
-    def __init__(self, E, c, nv):
-        self.E = np.asarray(E, dtype=np.int64).reshape(-1, nv)
-        self.c = np.asarray(c, dtype=np.complex128)
-        self.nv = nv
-
-    @staticmethod
-    def from_terms(terms, nv):
-        terms = [(e, c) for e, c in terms.items() if c != 0]
-        if not terms:
-            return _NPoly(np.zeros((0, nv)), np.zeros(0), nv)
-        E = np.array([e for e, _ in terms], dtype=np.int64)
-        c = np.array([c for _, c in terms], dtype=np.complex128)
-        return _NPoly(E, c, nv)
-
-    def eval(self, x):
-        if len(self.c) == 0:
-            return 0j
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mons = np.prod(x[None, :] ** self.E, axis=1)
-        return complex(np.dot(self.c, mons))
-
-    def coeff_norm(self):
-        return float(np.sqrt(np.sum(np.abs(self.c) ** 2))) or 1.0
-
-    def degree(self):
-        return int(self.E.sum(axis=1).max()) if len(self.c) else 0
-
-
-def _lift(f, nv) -> _NPoly:
-    """Exact polynomial -> complex arrays via symmetric lift of GF(p) coeffs."""
-    terms = {e: complex(c) for e, c in f.lift_terms()}
-    return _NPoly.from_terms(terms, nv)
+def _lift(f) -> dict:
+    """Exact polynomial -> {exponents: complex} row via symmetric lift of GF(p) coeffs."""
+    return {e: complex(c) for e, c in f.lift_terms()}
 
 
 def _columns(E):
@@ -193,28 +162,32 @@ class _Table:
 
 
 class _Square(_Table):
-    """A polynomial system and its Jacobian compiled into one monomial table.
+    """Rows in nv variables and their Jacobian compiled into one monomial table.
 
-    The columns of the table are the union of the monomials of all rows and
-    of all Jacobian entries, in the order they first occur: row 0, its
-    partials d/dx_0 .. d/dx_{nv-1}, row 1, and so on.
+    A row is a {exponent tuple: complex} dict; its zero coefficients are
+    dropped.  The columns of the table are the union of the monomials of all
+    rows and of all Jacobian entries, in the order they first occur: row 0,
+    its partials d/dx_0 .. d/dx_{nv-1}, row 1, and so on.
     """
 
-    def __init__(self, polys):
-        nv, rows = polys[0].nv, len(polys)
+    def __init__(self, rows, nv):
+        k = len(rows)
         shift = np.eye(nv, dtype=np.int64)[:, None]
         # every term of row i, then of its partials d/dx_0 .. d/dx_{nv-1} in
         # term order; each goes to row i of CF or to row i*nv + j of CJ
         E, c, to = [], [], []
-        for i, f in enumerate(polys):
-            has = f.E.T > 0  # (nv x terms): d/dx_j keeps the terms with x_j
-            E += [f.E, (f.E[None] - shift)[has]]
-            c += [f.c, (f.c * f.E.T)[has]]
-            to += [np.full(len(f.c), i), rows + i * nv + np.nonzero(has)[0]]
+        for i, row in enumerate(rows):
+            terms = {e: a for e, a in row.items() if a != 0}
+            Ei = np.array(list(terms), dtype=np.int64).reshape(-1, nv)
+            ci = np.array(list(terms.values()), dtype=np.complex128)
+            has = Ei.T > 0  # (nv x terms): d/dx_j keeps the terms with x_j
+            E += [Ei, (Ei[None] - shift)[has]]
+            c += [ci, (ci * Ei.T)[has]]
+            to += [np.full(len(ci), i), k + i * nv + np.nonzero(has)[0]]
         columns, at = _columns(np.concatenate(E))
-        C = np.zeros((rows * (nv + 1), len(columns)), dtype=np.complex128)
+        C = np.zeros((k * (nv + 1), len(columns)), dtype=np.complex128)
         np.add.at(C, (np.concatenate(to), at), np.concatenate(c))
-        super().__init__(columns, C[:rows], C[rows:])
+        super().__init__(columns, C[:k], C[k:])
 
 
 class StraightLineHomotopy:
@@ -230,7 +203,6 @@ class StraightLineHomotopy:
     def __init__(self, target: _Square, start: _Square, gamma: complex, fixed=()):
         self.target = target
         self.start = start
-        self.gamma = gamma
         E, at = _columns(np.concatenate([target.E, start.E]))
         where = (at[:len(target.E)], at[len(target.E):])
 
@@ -395,17 +367,19 @@ def track_path(start, homotopy: StraightLineHomotopy) -> PathEndpoint:
     return track_paths([start], homotopy)[0]
 
 
-def classify_endpoint(point, gens: list, square: _Square):
+def classify_endpoint(point, gens: _Table, square: _Square):
     """Classify a converged endpoint as solution / non-solution w.r.t. V(I).
 
-    The point is normalized to unit norm; each generator is evaluated and
-    scaled by its coefficient norm.  Non-solutions additionally need a
-    numerically nonsingular Jacobian of the square system.  A residual
-    within a factor 10 of the tolerance raises for a level rerun.
+    `gens` is the table of the generators of I, each scaled to unit
+    coefficient norm.  The residual is their max |g| at the point normalized
+    to unit norm, so it does not change when a generator is rescaled.
+    Non-solutions additionally need a numerically nonsingular Jacobian of
+    the square system.  A residual within a factor 10 of the tolerance
+    raises for a level rerun.
     """
     x = np.asarray(point, dtype=np.complex128)
     xhat = x / np.linalg.norm(x)
-    residual = max(abs(g.eval(xhat)) / g.coeff_norm() for g in gens)
+    residual = float(np.abs(gens.eval(xhat[None], jac=False)[0]).max())
     tol = ON_VARIETY_TOL
     if tol / 10 <= residual <= tol * 10:
         raise _Ambiguous(f"on-variety residual {residual:.3e} near tolerance {tol:.1e}")
@@ -427,7 +401,7 @@ def residual_degrees_numeric(I: Ideal, rng=None, m: int | None = None) -> segre.
     failure is a NumericBackendError.
     """
     rng = rng or random.Random()
-    gens = [_lift(g, I.ring.nvars) for g in I.gens]
+    gens = [_lift(g) for g in I.gens]
 
     def count(d, m):
         try:
@@ -448,10 +422,11 @@ def _random_combination(ring, gens, m, rng):
     """A random complex degree-m element of the ideal: sum lambda_i h_i."""
     Es, cs = [], []
     for g in gens:
-        lam = np.array(list(ring.monomials_of_degree(m - g.degree())), dtype=np.int64)
+        gE = np.array(list(g), dtype=np.int64).reshape(-1, ring.nvars)
+        lam = np.array(list(ring.monomials_of_degree(m - max(map(sum, g)))), dtype=np.int64)
         coef = np.array([_gauss(rng) for _ in range(len(lam))])
-        Es.append((lam[:, None, :] + g.E[None, :, :]).reshape(-1, ring.nvars))
-        cs.append(np.outer(coef, g.c).ravel())
+        Es.append((lam[:, None, :] + gE[None, :, :]).reshape(-1, ring.nvars))
+        cs.append(np.outer(coef, np.array(list(g.values()), dtype=np.complex128)).ravel())
     E, at = _columns(np.concatenate(Es))
     c = np.zeros(len(E), dtype=np.complex128)
     np.add.at(c, at, np.concatenate(cs))  # in term order, as a running sum per monomial
@@ -459,8 +434,9 @@ def _random_combination(ring, gens, m, rng):
     return dict(zip(map(tuple, E[keep].tolist()), c[keep].tolist()))
 
 
-def _linear_form(nv, rng):
-    return {tuple(1 if j == i else 0 for j in range(nv)): _gauss(rng) for i in range(nv)}
+def _linear_form(c):
+    """The row of sum_i c_i x_i."""
+    return {tuple(1 if j == i else 0 for j in range(len(c))): ci for i, ci in enumerate(c)}
 
 
 def _normalize_row(row):
@@ -476,12 +452,13 @@ def _level_system(ring, gens, d, m, rng):
     # rows are normalized to unit coefficient norm so the absolute
     # tolerances stay meaningful for large integer generators
     rows = [_random_combination(ring, gens, m, rng) for _ in range(d)]
-    rows += [_linear_form(nv, rng) for _ in range(n - d)]
+    rows += [_linear_form([_gauss(rng) for _ in range(nv)]) for _ in range(n - d)]
     rows = [_normalize_row(r) for r in rows]
-    patch = _linear_form(nv, rng)
-    patch[(0,) * nv] = patch.get((0,) * nv, 0j) - 1.0
+    c_patch = [_gauss(rng) for _ in range(nv)]
+    patch = _linear_form(c_patch)
+    patch[(0,) * nv] = -1.0
     rows.append(patch)
-    target = _Square([_NPoly.from_terms(r, nv) for r in rows])
+    target = _Square(rows, nv)
 
     # start rows: a_i y_{i+1}^{deg_i} - b_i (same patch row)
     degs = [m] * d + [1] * (n - d)
@@ -496,15 +473,12 @@ def _level_system(ring, gens, d, m, rng):
             [base * cmath.exp(2j * cmath.pi * r / deg) for r in range(deg)]
         )
     start_rows.append(patch)
-    start = _Square([_NPoly.from_terms(r, nv) for r in start_rows])
+    start = _Square(start_rows, nv)
 
     gamma = cmath.exp(2j * cmath.pi * rng.random())
     hom = StraightLineHomotopy(target, start, gamma, fixed=(n,))
 
     # assemble start points: y_0 solved from the patch equation
-    c_patch = np.array(
-        [patch.get(tuple(1 if j == i else 0 for j in range(nv)), 0j) for i in range(nv)]
-    )
     starts = np.empty((m**d, nv), dtype=np.complex128)
     starts[:, 1:] = list(itertools.product(*roots_per_row))
     starts[:, 0] = (1.0 - starts[:, 1:] @ c_patch[1:]) / c_patch[0]
@@ -518,12 +492,13 @@ def _count_level(ring, gens, d, m, rng) -> int:
     if (res0 > CORRECTOR_TOL * scale).any():
         raise NumericBackendError(f"start point residual {res0.max():.2e} too large")
 
+    unit_gens = _Square([_normalize_row(g) for g in gens], ring.nvars)
     histogram = dict.fromkeys(("solution", "non-solution", "singular", "diverged"), 0)
     ends = []  # converged, nonsingular endpoints: (point, bucket)
     for ep in track_paths(starts, hom):
         bucket = ep.status
         if bucket == "converged":
-            bucket, _ = classify_endpoint(ep.point, gens, target)
+            bucket, _ = classify_endpoint(ep.point, unit_gens, target)
             if bucket != "singular":
                 ends.append((ep.point, bucket))
         histogram[bucket] += 1

@@ -488,17 +488,12 @@ def _polymul(a, b, p):
     return out
 
 
-def npoly_partial(f, j):
-    """d f / d x_j of a homotopy._NPoly, term by term.
+def row_partial(row, j):
+    """d / d x_j of a {exponent tuple: coefficient} row, term by term.
 
     The reference for the Jacobian block that homotopy._Square compiles.
     """
-    np = homotopy.np
-    mask = f.E[:, j] > 0
-    E = f.E[mask].copy()
-    c = f.c[mask] * E[:, j]
-    E[:, j] -= 1
-    return homotopy._NPoly(E, c, f.nv)
+    return {e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j] for e, c in row.items() if e[j]}
 
 
 def reference_solve(A, b):

@@ -1,6 +1,7 @@
 """Path tracking, endpoint classification, and numeric residual counts."""
 
 import cmath
+import hashlib
 import itertools
 import logging
 import random
@@ -27,23 +28,23 @@ from charclass import (
 from charclass import cli, segre
 from charclass.errors import DomainError
 from charclass.homotopy import (
-    _NPoly,
     _Square,
     _level_system,
     _lift,
+    _normalize_row,
     _solve_rows,
     classify_endpoint,
     track_paths,
 )
 
-from helpers import PRIME, npoly_partial, reference_solve, reference_track_paths
+from helpers import PRIME, reference_solve, reference_track_paths, row_partial
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 
 
 def _univariate_homotopy(target_terms, start_terms, gamma):
-    target = _Square([_NPoly.from_terms(target_terms, 1)])
-    start = _Square([_NPoly.from_terms(start_terms, 1)])
+    target = _Square([target_terms], 1)
+    start = _Square([start_terms], 1)
     return StraightLineHomotopy(target, start, gamma)
 
 
@@ -73,7 +74,7 @@ class TestTrackPath:
 class TestBatching:
     def test_batch_matches_single_paths(self, twisted_cubic):
         # level 2 of the twisted cubic: four paths with isolated endpoints
-        gens = [_lift(g, 4) for g in twisted_cubic.gens]
+        gens = [_lift(g) for g in twisted_cubic.gens]
         _, hom, starts = _level_system(twisted_cubic.ring, gens, 2, 2, random.Random(3))
         batch = track_paths(starts, hom)
         assert len(batch) == len(starts) == 4
@@ -100,8 +101,10 @@ class TestBatching:
 class TestFoldedHomotopy:
     """One table with blocks F and gamma G - F against the textbook homotopy."""
 
-    @staticmethod
-    def _homotopy():
+    GAMMA = cmath.exp(0.7j)
+
+    @classmethod
+    def _homotopy(cls):
         gen = np.random.default_rng(5)
 
         def row(deg):
@@ -109,17 +112,17 @@ class TestFoldedHomotopy:
             return {e: complex(*gen.normal(size=2)) for e in exps}
 
         patch = row(1)
-        target = _Square([_NPoly.from_terms(r, 3) for r in (row(3), row(1), patch)])
-        start = _Square([_NPoly.from_terms(r, 3) for r in (
+        target = _Square([row(3), row(1), patch], 3)
+        start = _Square([
             {(0, 3, 0): 1.3 - 0.2j, (0, 0, 0): -0.7j}, {(0, 0, 1): 0.9, (0, 0, 0): 0.4}, patch,
-        )])
+        ], 3)
         points = gen.normal(size=(6, 3)) + 1j * gen.normal(size=(6, 3))
-        return StraightLineHomotopy(target, start, cmath.exp(0.7j), fixed=(2,)), points
+        return StraightLineHomotopy(target, start, cls.GAMMA, fixed=(2,)), points
 
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
     def test_matches_textbook_homotopy(self, t):
         hom, X = self._homotopy()
-        gamma = hom.gamma
+        gamma = self.GAMMA
         F, JF = hom.target.eval(X)
         G, JG = hom.start.eval(X)
         tt = np.array([t, t, 0.0])  # the patch row stays at t = 0
@@ -149,7 +152,7 @@ class TestFoldedHomotopy:
 
     def test_tracking_evaluates_each_point_once(self, twisted_cubic, monkeypatch):
         # the predictor reuses the corrector's Hx and Ht at the accepted point
-        gens = [_lift(g, 4) for g in twisted_cubic.gens]
+        gens = [_lift(g) for g in twisted_cubic.gens]
         _, hom, starts = _level_system(twisted_cubic.ring, gens, 3, 2, random.Random(3))
         seen = []
         original = StraightLineHomotopy.eval
@@ -185,7 +188,7 @@ class TestReferenceTracker:
                              range(10)),
             "p1xp2_minors_81_paths": (_p1xp2_minors(), [(4, 3)], [0]),
         }[case]
-        gens = [_lift(g, I.ring.nvars) for g in I.gens]
+        gens = [_lift(g) for g in I.gens]
         for seed in seeds:
             for d, m in levels:
                 _, hom, starts = _level_system(I.ring, gens, d, m, random.Random(seed))
@@ -196,6 +199,46 @@ class TestReferenceTracker:
                 assert [e.status for e in got] == [e.status for e in want], (seed, d)
                 assert (np.array([e.point for e in got]).tobytes()
                         == np.array([e.point for e in want]).tobytes()), (seed, d)
+
+
+class TestLevelSystemBytes:
+    """The tracked systems' bytes, pinned: the same bytes give the same paths and counts."""
+
+    DIGESTS = {
+        "twisted_cubic": "ad1e0f0b9c8a563819872bf5f8cb9c49c24a855622376ffe7d19f29822822414",
+        "nodal_jacobian": "5fa2cdc2fb15d2f16fc989472b813238aad7d99017d10f375361d96d224888aa",
+        "smooth_conic": "4031ed1b6a09d352e90c7d68440bbb4780b416f349f48dcfa2a3f64105c8978b",
+    }
+
+    @staticmethod
+    def _backend_gens_and_levels(I, m, monkeypatch):
+        # the generators exactly as residual_degrees_numeric hands them to each level
+        import charclass.homotopy as hm
+
+        seen = []
+        with monkeypatch.context() as mp:
+            mp.setattr(hm, "_count_level", lambda ring, gens, d, m, rng: seen.append(gens) or 0)
+            levels = sorted(residual_degrees_numeric(I, random.Random(0), m=m).degrees)
+        return seen[0], levels
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_sha256_of_target_start_table_and_start_points(self, case, twisted_cubic,
+                                                           nodal_cubic, P2, monkeypatch):
+        x, y, z = P2.gens()
+        I = {"twisted_cubic": twisted_cubic,
+             "nodal_jacobian": Ideal(P2, jacobian_ideal(nodal_cubic).gens),
+             "smooth_conic": Ideal(P2, [x * x + y * y + z * z])}[case]
+        mmax = I.max_degree()
+        # at m = mmax + 1 each of these ideals draws a level, so the spy sees the generators
+        gens, levels = self._backend_gens_and_levels(I, mmax + 1, monkeypatch)
+        digest = hashlib.sha256()
+        for m, d, seed in itertools.product((mmax, mmax + 1), levels, range(4)):
+            target, hom, starts = _level_system(I.ring, gens, d, m, random.Random(seed))
+            for table in (target, hom.start, hom._table):
+                for a in (table.E, table.CF, table.CJ):
+                    digest.update(repr((a.dtype.str, a.shape)).encode() + a.tobytes())
+            digest.update(repr((starts.dtype.str, starts.shape)).encode() + starts.tobytes())
+        assert digest.hexdigest() == self.DIGESTS[case]
 
 
 class TestSolveRows:
@@ -251,19 +294,18 @@ class TestTableEdges:
           {(0, 0, 1): 1.0, (1, 0, 0): 0.5 + 0.5j},
           {(0, 1, 0): 2.0, (0, 0, 1): -1.0, (0, 0, 0): -1.0}], 3),  # linear rows: dmax = 1
     ])
-    def test_matches_npoly_eval_and_partial(self, rows, nv):
-        polys = [_NPoly.from_terms(r, nv) for r in rows]
-        table = _Square(polys)
+    def test_matches_term_by_term_rows_and_partials(self, rows, nv):
+        table = _Square(rows, nv)
         assert table._dmax == max(max(e) for r in rows for e in r)
         gen = np.random.default_rng(11)
         X = gen.normal(size=(5, nv)) + 1j * gen.normal(size=(5, nv))
         F, J = table.eval(X)
-        assert F.shape == (5, len(polys)) and J.shape == (5, len(polys), nv)
+        assert F.shape == (5, len(rows)) and J.shape == (5, len(rows), nv)
         for k, x in enumerate(X):
-            for i, f in enumerate(polys):
-                assert abs(F[k, i] - f.eval(x)) <= 1e-12
-                for j in range(nv):
-                    assert abs(J[k, i, j] - npoly_partial(f, j).eval(x)) <= 1e-12
+            assert np.abs(F[k] - _term_by_term(rows, x)).max() <= 1e-12
+            for j in range(nv):
+                partials = [row_partial(r, j) for r in rows]
+                assert np.abs(J[k, :, j] - _term_by_term(partials, x)).max() <= 1e-12
 
 
 _COEF = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
@@ -290,7 +332,7 @@ def _term_by_term(polys, x):
 def test_table_matches_term_by_term_and_central_differences(system):
     polys, X = system
     nv = X.shape[1]
-    F, J = _Square([_NPoly.from_terms(p, nv) for p in polys]).eval(X)
+    F, J = _Square(polys, nv).eval(X)
     h = 1e-5
     for k, x in enumerate(X):
         fx = _term_by_term(polys, x)
@@ -308,31 +350,55 @@ def test_table_matches_term_by_term_and_central_differences(system):
 
 
 class TestClassification:
-    def _setup(self, twisted_cubic):
-        from charclass.homotopy import _lift
+    ON_CURVE = np.array([1, 1, 1, 1], dtype=complex)
+    OFF_CURVE = np.array([1.3, -0.7, 2.1, 0.4], dtype=complex)
 
+    @staticmethod
+    def _setup(I):
+        # the generators at unit coefficient norm, as _count_level compiles
+        # them, and a simple square system: the three generators + patch
         nv = 4
-        gens = [_lift(g, nv) for g in twisted_cubic.gens]
-        # a simple square system: three generators + patch
-        polys = [_NPoly.from_terms({e: c for e, c in g.lift_terms()}, nv) for g in twisted_cubic.gens]
-        patch = _NPoly.from_terms({(1, 0, 0, 0): 1.0, (0, 0, 0, 0): -1.0}, nv)
-        return gens, _Square(polys + [patch])
+        rows = [_lift(g) for g in I.gens]
+        patch = {(1, 0, 0, 0): 1.0, (0, 0, 0, 0): -1.0}
+        return _Square([_normalize_row(r) for r in rows], nv), _Square(rows + [patch], nv)
 
     def test_point_on_curve(self, twisted_cubic):
-        gens, square = self._setup(twisted_cubic)
-        cls, residual = classify_endpoint(
-            np.array([1, 1, 1, 1], dtype=complex), gens, square
-        )
+        cls, residual = classify_endpoint(self.ON_CURVE, *self._setup(twisted_cubic))
         assert cls == "solution"
         assert residual < 1e-12
 
     def test_generic_point_off_curve(self, twisted_cubic):
-        gens, square = self._setup(twisted_cubic)
-        cls, residual = classify_endpoint(
-            np.array([1.3, -0.7, 2.1, 0.4], dtype=complex), gens, square
-        )
+        cls, residual = classify_endpoint(self.OFF_CURVE, *self._setup(twisted_cubic))
         assert cls == "non-solution"
         assert residual > 1e-4
+
+    @staticmethod
+    def _backend_gens(I, monkeypatch):
+        # the generator table exactly as the numeric backend hands it to classify_endpoint
+        import charclass.homotopy as hm
+
+        seen = []
+
+        def spy(point, gens, square):
+            seen.append(gens)
+            return classify_endpoint(point, gens, square)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(hm, "classify_endpoint", spy)
+            residual_degrees_numeric(I, random.Random(0))
+        return seen[0]
+
+    def test_rescaled_generator_gives_the_same_class_and_residual(self, twisted_cubic, P3,
+                                                                  monkeypatch):
+        g = twisted_cubic.gens
+        scaled = Ideal(P3, [10**6 * g[0], g[1], g[2]])
+        tables = [self._backend_gens(I, monkeypatch) for I in (twisted_cubic, scaled)]
+        _, square = self._setup(twisted_cubic)
+        for point, want in ((self.ON_CURVE, "solution"), (self.OFF_CURVE, "non-solution")):
+            (cls, residual), (cls6, residual6) = (
+                classify_endpoint(point, gens, square) for gens in tables)
+            assert cls == cls6 == want
+            assert abs(residual6 - residual) <= 1e-12 * residual
 
 
 class TestNumericResiduals:

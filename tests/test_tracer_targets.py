@@ -8,11 +8,13 @@ tracer is loaded from its file and only read.
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
 
 import charclass.cli
+from charclass import homotopy
 
 from helpers import PRIME, run_fresh
 
@@ -48,6 +50,18 @@ def test_engine_entry_points_see_a_symbolic_run(capsys):
     for name in ("groebner.buchberger", "groebner.s_polynomial", "groebner.interreduce",
                  "hilbert.dimension_degree", "segre.residual_degrees_symbolic"):
         assert calls.get(name, 0) > 0, name
+
+
+def test_numeric_entry_points_see_each_endpoint(twisted_cubic):
+    # perfbench counts endpoints by bucket from classify_endpoint's result,
+    # so the numeric backend must classify each endpoint through that call
+    tracer = _tracer()
+    with tracer.Tracer() as t:
+        res = homotopy.residual_degrees_numeric(twisted_cubic, random.Random(0))
+    assert res.degrees == {2: 1, 3: 0}
+    summary = tracer.summarize(t.spans, t.counters)
+    assert summary["calls"].get("homotopy.classify_endpoint", 0) > 0
+    assert summary["counters"].get("homotopy.endpoints_non_solution", 0) >= 1
 
 
 TRACED_RUN = r"""
