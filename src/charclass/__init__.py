@@ -66,6 +66,7 @@ from .csm import (
     csm_degrees_from_segre,
     csm_from_shadow,
     csm_hypersurface,
+    csm_inclusion_exclusion,
     csm_subscheme,
     euler_characteristic,
     ml_degree,
@@ -94,7 +95,8 @@ __all__ = [
     "segre_from_residuals", "segre_degrees",
     "ClassExpr", "SegreProfile", "CsmResult", "MlResult",
     "shadow_from_segre", "segre_from_shadow", "csm_from_shadow",
-    "csm_degrees_from_segre", "csm_hypersurface", "csm_subscheme",
+    "csm_degrees_from_segre", "csm_hypersurface", "csm_inclusion_exclusion",
+    "csm_subscheme",
     "euler_characteristic", "affine_euler", "ml_degree",
     "PathEndpoint", "StraightLineHomotopy", "track_path",
     "classify_endpoint", "residual_degrees_numeric",

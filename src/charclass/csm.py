@@ -18,9 +18,41 @@ integers s~_0..s~_n, give the degrees again by an explicit double sum
 (csm_degrees_from_segre); the hypersurface routine cross-checks both.  The
 shadow is also g_j = sum_i C(j,i) r^(j-i) s~_i (shadow_from_segre).
 
-A subscheme V(G) is one inclusion-exclusion over generator products
-(Aluffi): 1_{V(G)} = sum_{S nonempty} (-1)^(|S|+1) 1_{V(f_S)} with f_S the
-product of S.  A pushforward's top coefficient is the Euler characteristic.
+A subscheme X = V(G) takes one of two routes (csm_subscheme).  The paper's
+route is one inclusion-exclusion over generator products (Aluffi):
+1_{V(G)} = sum_{S nonempty} (-1)^(|S|+1) 1_{V(f_S)} with f_S the product of
+S, 2^s - 1 hypersurfaces for s generators (csm_inclusion_exclusion).  A
+smooth X needs none of them: c_SM(X) = c(TX) cap [X] = (1+H)^(n+1) cap
+s(X, P^n), as the embedding is regular and s(X, P^n) = c(N)^(-1) cap [X]
+(Fulton, Intersection Theory, ch. 4), so
+
+    deg (c_SM)_{k-p} = sum_{i<=p} C(n+1, p-i) deg s_i,   k = dim X,
+
+from the one residual computation of the segre module (Eklund-Jost-Peterson,
+arXiv:1109.5895).  With the symbolic backend and s >= 2 generators the
+route first certifies X smooth over the field it runs in, c = codim X:
+
+  (a) rank J >= c at every point of X, J the Jacobian matrix of G: I plus
+      k+1 random combinations, per degree, of the c x c minors of J is
+      irrelevant.  V of the combinations contains V of all the minors, so
+      this is a proof, and it needs only a perfect field.  At points of
+      top-dimensional components it also rules out embedded points.
+  (b) no component of lower dimension, which (a) cannot see (the plane
+      and fat point V(wx^2, wy^2, wz) pass it): for F = c random degree-m
+      elements of I that cut out dimension k, F : (F : I) is the
+      intersection of the top-dimensional primary components of I
+      (Eisenbud-Huneke-Vasconcelos, Invent. Math. 1992), and it must have
+      the Hilbert polynomial of I.  Vacuous for points (k = 0) and for a
+      complete intersection (s = c, unmixed by Macaulay's theorem).
+
+A failed check, which a bad draw can also cause, falls back to
+inclusion-exclusion: it costs time and never gives a wrong integer.  On
+the route deg s_0 must equal the Hilbert degree of I, as [X] is the top
+Segre class of a smooth X.  The route is symbolic only: the numeric
+backend lifts GF(p) coefficients into C, where a certificate over GF(p)
+proves nothing, and a certificate over QQ has not been measured.  Rational
+input runs the route on each GF(p) image (segre.on_prime_images).  A
+pushforward's top coefficient is the Euler characteristic.
 
 An open set cut out by linear forms L = (l_1..l_k) needs no product
 hypersurface: 1_{X \\ (H_1 u ... u H_k)} = sum_{T subset L} (-1)^|T| 1_{X cap H_T},
@@ -41,9 +73,10 @@ from dataclasses import dataclass, field
 
 from . import segre
 from .errors import DomainError, GenericityError, ResourceError
-from .ideals import Ideal, dimension_and_degree, jacobian_ideal
+from .ideals import (Ideal, dimension_and_degree, ideal_quotient, jacobian_ideal,
+                     random_element_of_degree)
 from .poly import Polynomial, Ring, homogenize, insert_variable, substitute_linear
-from .segre import SegreDegrees, on_prime_images, segre_from_residuals
+from .segre import SegreDegrees, on_prime_images
 from .squarefree import squarefree_part
 
 log = logging.getLogger(__name__)
@@ -232,7 +265,7 @@ def csm_hypersurface(f: Polynomial, backend: str = "symbolic", rng=None) -> CsmR
         R = segre._residuals(jac, backend, rng, r)
         for j in R.levels():
             shadow[j] = R.degrees[j]
-        singular_segre = segre_from_residuals(R)
+        singular_segre = segre.segre_from_residuals(R)
     push = csm_from_shadow(ClassExpr(n, tuple(shadow)))
     degrees = tuple(push.coeffs[1:])
     check = csm_degrees_from_segre(SegreProfile.from_segre(n, r, singular_segre))
@@ -245,19 +278,60 @@ def csm_hypersurface(f: Polynomial, backend: str = "symbolic", rng=None) -> CsmR
 
 @on_prime_images
 def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None) -> CsmResult:
+    """CSM class data of V(I), from its Segre class when V(I) is smooth.
+
+    With the symbolic backend and at least two generators, a V(I) that
+    passes the smoothness certificate (_smoothness_gap) gets its class from
+    one residual computation (_smooth_pushforward); anything else, and a
+    failed certificate, takes csm_inclusion_exclusion.  The route taken is
+    logged at debug.  More than MAX_GENERATORS generators raise
+    ResourceError before either route; the unit ideal is a domain error
+    (empty scheme).  The top-dimensional CSM degree must lie between 1 and
+    the Hilbert degree on both routes (GenericityError otherwise).  A
+    rational ideal runs on GF(p) images with the symbolic backend (see
+    segre.on_prime_images).
+    """
+    stats = _subscheme_stats(I)
+    if backend == "symbolic" and len(I.gens) >= 2:
+        gap = _smoothness_gap(I, stats, rng)
+        if gap is None:
+            log.debug("smooth route: V(I) certified smooth, class from its Segre class")
+            return _checked_result(_smooth_pushforward(I, stats, rng), stats)
+        log.debug("inclusion-exclusion: %s", gap)
+    return csm_inclusion_exclusion(I, backend=backend, rng=rng)
+
+
+@on_prime_images
+def csm_inclusion_exclusion(I: Ideal, backend: str = "symbolic", rng=None) -> CsmResult:
     """CSM class data of V(I) by inclusion-exclusion over generator products.
 
     Costs 2^s - 1 hypersurface computations for s generators, one per
-    nonempty subset, taken size-major.  The zero ideal gives c_SM(P^n); the
-    unit ideal is a domain error (empty scheme).  The top-dimensional CSM
-    degree (the degree of the reduced top-dimensional part) must lie between
-    1 and the Hilbert degree; anything else raises GenericityError, as
-    the hypersurface classes rest on random residuals.  A rational ideal
-    runs on GF(p) images with the symbolic backend (see
-    segre.on_prime_images).
+    nonempty subset, taken size-major.  The zero ideal gives c_SM(P^n).
+    The route for singular schemes and the numeric backend, and the oracle
+    the smooth route is tested against; same errors and checks as
+    csm_subscheme.  The top-dimensional CSM degree is the degree of the
+    reduced top-dimensional part, so anything outside [1, Hilbert degree]
+    means the random residuals of a hypersurface class were not generic.
     """
+    stats = _subscheme_stats(I)
     gens = I.gens
     s = len(gens)
+    if s > 10:
+        log.warning("inclusion-exclusion over %d generators: 2^%d terms", s, s)
+    n = I.ring.nvars - 1
+    total = hyperplane_power(n, 0, n + 1) if not gens else ClassExpr.zero(n)
+    for size in range(1, s + 1):
+        for subset in itertools.combinations(gens, size):
+            prod = functools.reduce(operator.mul, subset)
+            push = csm_hypersurface(prod, backend=backend, rng=rng).pushforward
+            total = total + push * (-1) ** (size + 1)
+    return _checked_result(total, stats)
+
+
+def _subscheme_stats(I: Ideal):
+    """dimension_and_degree(I), after the generator-count refusal and the
+    empty-scheme check."""
+    s = len(I.gens)
     if s > MAX_GENERATORS:
         raise ResourceError(
             f"inclusion-exclusion over {s} generators needs 2^{s} "
@@ -266,15 +340,12 @@ def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None) -> CsmResult:
     stats = dimension_and_degree(I)
     if stats.dim < 0:
         raise DomainError("empty scheme: CSM classes are not defined")
-    if s > 10:
-        log.warning("inclusion-exclusion over %d generators: 2^%d terms", s, s)
-    n, dim = I.ring.nvars - 1, stats.dim
-    total = hyperplane_power(n, 0, n + 1) if not gens else ClassExpr.zero(n)
-    for size in range(1, s + 1):
-        for subset in itertools.combinations(gens, size):
-            prod = functools.reduce(operator.mul, subset)
-            push = csm_hypersurface(prod, backend=backend, rng=rng).pushforward
-            total = total + push * (-1) ** (size + 1)
+    return stats
+
+
+def _checked_result(total: ClassExpr, stats) -> CsmResult:
+    """CsmResult of a pushforward, its top-dimensional degree checked."""
+    n, dim = total.n, stats.dim
     degrees = tuple(total.coeffs[n - dim + p] for p in range(dim + 1))
     if not 1 <= degrees[0] <= stats.degree:
         raise GenericityError(
@@ -282,6 +353,110 @@ def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None) -> CsmResult:
             f"outside [1, {stats.degree}] (Hilbert degree); residuals suspect"
         )
     return CsmResult(total, degrees, total.coeffs[n], dim)
+
+
+def _smoothness_gap(I: Ideal, stats, rng) -> str | None:
+    """None when V(I) is certified smooth, else why the certificate failed.
+
+    (a) I + (k+1 random combinations, per degree, of the c x c minors of
+    the Jacobian matrix) is irrelevant, so rank J >= c = codim on V(I);
+    (b) V(I) has no component of lower dimension (_lower_dimensional_gap).
+    Together: every point lies on a top-dimensional component, whose local
+    ring is then regular.  A bad draw can fail the certificate; the caller
+    then falls back, so a draw never decides an answer.
+    """
+    ring = I.ring
+    n, k = ring.nvars - 1, stats.dim
+    c = n - k
+    jacobian = [[g.partial(j) for j in range(n + 1)] for g in I.gens]
+    by_degree = {}
+    for minor in _minors(jacobian, c):
+        if not minor.is_zero():
+            by_degree.setdefault(minor.total_degree(), []).append(minor)
+    one = ring.codec.one
+    uniform = ring.field.uniform
+    cuts = [
+        segre._combination(ring, group, [{one: uniform(rng)} for _ in group])
+        for group in by_degree.values()
+        for _ in range(k + 1)
+    ]
+    if dimension_and_degree(Ideal(ring, list(I.gens) + cuts)).dim >= 0:
+        return f"rank of the Jacobian below the codimension {c} at some point"
+    return _lower_dimensional_gap(I, stats, rng)
+
+
+def _lower_dimensional_gap(I: Ideal, stats, rng) -> str | None:
+    """None when V(I) has no component of dimension below k = dim V(I).
+
+    F = c random degree-m elements of I must cut out dimension k; then
+    F : (F : I) is the top-dimensional part of I (Eisenbud-Huneke-
+    Vasconcelos), and I has no other component exactly when the two have
+    the same Hilbert polynomial: the Hilbert numerators differ by a
+    multiple of (1-t)^(n+1).  Points (k = 0) have no lower dimension, and
+    c generators of codimension c form a complete intersection, which is
+    unmixed.
+    """
+    ring = I.ring
+    n, k = ring.nvars - 1, stats.dim
+    c = n - k
+    if k == 0 or len(I.gens) == c:
+        return None
+    m = I.max_degree()
+    F = Ideal(ring, [random_element_of_degree(I, m, rng) for _ in range(c)])
+    if dimension_and_degree(F).dim != k:
+        return f"{c} random elements of I cut out more than dimension {k}"
+    hull = ideal_quotient(F, ideal_quotient(F, I))
+    diff = [a - b for a, b in itertools.zip_longest(
+        stats.numerator, dimension_and_degree(hull).numerator, fillvalue=0)]
+    # (1-t)^(n+1) divides diff iff its first n+1 Taylor coefficients at t = 1 vanish
+    if any(sum(math.comb(i, j) * v for i, v in enumerate(diff)) for j in range(n + 1)):
+        return f"a component of dimension below {k}"
+    return None
+
+
+def _minors(matrix, c: int):
+    """The c x c minors of a matrix of polynomials (rows of equal length).
+
+    Laplace expansion along the last row: the t x t minor on rows R and
+    columns C comes from the (t-1) x (t-1) minors on R minus its last row,
+    each computed once.
+    """
+    ncols = len(matrix[0])
+    layer = {((i,), (j,)): f for i, row in enumerate(matrix) for j, f in enumerate(row)}
+    for t in range(2, c + 1):
+        nxt = {}
+        for rows in itertools.combinations(range(len(matrix)), t):
+            last = matrix[rows[-1]]
+            for cols in itertools.combinations(range(ncols), t):
+                acc = last[0].ring.zero()
+                for idx, j in enumerate(cols):
+                    sub = layer[rows[:-1], cols[:idx] + cols[idx + 1:]]
+                    if sub and last[j]:
+                        term = last[j] * sub
+                        acc = acc + term if (t + idx) % 2 else acc - term
+                nxt[rows, cols] = acc
+        layer = nxt
+    return list(layer.values())
+
+
+def _smooth_pushforward(I: Ideal, stats, rng) -> ClassExpr:
+    """(1+H)^(n+1) cap s(X, P^n) for a smooth X = V(I), pushed into P^n.
+
+    deg (c_SM)_{k-p} = sum_{i<=p} C(n+1, p-i) deg s_i is the coefficient
+    of H^(c+p); there are zeros below H^c.  For a smooth X the top Segre
+    class is [X], so deg s_0 must equal the Hilbert degree of I; anything
+    else means the residuals were not generic and raises GenericityError.
+    """
+    R = segre._residuals(I, "symbolic", rng, None)
+    s = segre.segre_from_residuals(R).values
+    if s[0] != stats.degree:
+        raise GenericityError(
+            f"deg s_0 = {s[0]} differs from the Hilbert degree {stats.degree} "
+            "of a smooth scheme; residuals suspect"
+        )
+    n, k = R.n, R.k
+    top = [sum(math.comb(n + 1, p - i) * s[i] for i in range(p + 1)) for p in range(k + 1)]
+    return ClassExpr(n, (0,) * (n - k) + tuple(top))
 
 
 def _section_euler(I: Ideal, forms, backend, rng) -> int:

@@ -14,6 +14,7 @@ gcd = 1.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .errors import DomainError, GenericityError
@@ -52,6 +53,15 @@ def _univ_gcd_degree(u, v, field):
     return len(u) - 1 if u else -1
 
 
+@functools.lru_cache(maxsize=8)
+def _line_ring(field) -> Ring:
+    """The one-variable ring of certified_coprime's lines, kept per field.
+
+    Bounded: rational input draws a fresh prime field for every call.
+    """
+    return Ring(("s",), field)
+
+
 def certified_coprime(f: Polynomial, g: Polynomial, rng) -> bool:
     """True only when gcd(f, g) is certainly constant.
 
@@ -65,7 +75,7 @@ def certified_coprime(f: Polynomial, g: Polynomial, rng) -> bool:
     nv = f.ring.nvars
     a = [field.uniform(rng) for _ in range(nv)]
     b = [field.uniform(rng) for _ in range(nv)]
-    line = Ring(("s",), field)
+    line = _line_ring(field)
     images = [line.from_exp_dict({(1,): aj, (0,): bj}) for aj, bj in zip(a, b)]
     coeffs = []
     for h, r in zip((f, g), substitute_linear([f, g], images)):

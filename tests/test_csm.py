@@ -1,5 +1,7 @@
 """Shadow conversions, CSM degrees, Euler characteristics, ML degrees."""
 
+import itertools
+import logging
 import math
 import random
 import sys
@@ -23,6 +25,7 @@ from charclass import (
     csm_degrees_from_segre,
     csm_from_shadow,
     csm_hypersurface,
+    csm_inclusion_exclusion,
     csm_subscheme,
     euler_characteristic,
     jacobian_ideal,
@@ -322,6 +325,180 @@ class TestSubschemes:
             st = dimension_and_degree(I)
             n = I.ring.nvars - 1
             assert res.pushforward.coeffs[n - st.dim] == st.degree
+
+
+def _ring(nvars, field=PRIME):
+    return Ring(tuple(f"x{i}" for i in range(nvars)), FieldSpec(field))
+
+
+def _two_by_two_minors(top, bottom):
+    return [top[a] * bottom[b] - top[b] * bottom[a]
+            for a, b in itertools.combinations(range(len(top)), 2)]
+
+
+def _rational_normal_curve(n, field=PRIME):
+    x = _ring(n + 1, field).gens()
+    return Ideal(x[0].ring, _two_by_two_minors(x[:-1], x[1:]))
+
+
+def _segre_p1xp2(field=PRIME):
+    x = _ring(6, field).gens()
+    return Ideal(x[0].ring, _two_by_two_minors(x[:3], x[3:]))
+
+
+def _cubic_scroll(field=PRIME):
+    x = _ring(5, field).gens()
+    return Ideal(x[0].ring, _two_by_two_minors([x[0], x[1], x[3]], [x[1], x[2], x[4]]))
+
+
+def _veronese_surface(field=PRIME):
+    a, b, c, d, e, f = _ring(6, field).gens()
+    sym = [[a, b, c], [b, d, e], [c, e, f]]
+    minors = [sym[i][k] * sym[j][l] - sym[i][l] * sym[j][k]
+              for (i, j), (k, l) in itertools.combinations_with_replacement(
+                  list(itertools.combinations(range(3), 2)), 2)]
+    return Ideal(a.ring, minors)
+
+
+def _route_spy(monkeypatch):
+    """Record each route csm_subscheme takes, one entry per GF(p) image."""
+    routes = []
+    smooth, fallback = csm._smooth_pushforward, csm.csm_inclusion_exclusion
+
+    def smooth_spy(*args, **kwargs):
+        routes.append("smooth")
+        return smooth(*args, **kwargs)
+
+    def fallback_spy(*args, **kwargs):
+        routes.append("inclusion-exclusion")
+        return fallback(*args, **kwargs)
+
+    monkeypatch.setattr(csm, "_smooth_pushforward", smooth_spy)
+    monkeypatch.setattr(csm, "csm_inclusion_exclusion", fallback_spy)
+    return routes
+
+
+FIELDS = pytest.mark.parametrize("field", [PRIME, 0], ids=["gfp", "qq"])
+SEEDS = pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+
+
+class TestSmoothRoute:
+    """Certified smooth schemes take their class from the Segre class, and
+    match the paper's inclusion-exclusion."""
+
+    def _both_routes(self, I, seed, monkeypatch):
+        routes = _route_spy(monkeypatch)
+        res = csm_subscheme(I, rng=random.Random(seed))
+        assert routes and set(routes) == {"smooth"}
+        oracle = csm_inclusion_exclusion(I, rng=random.Random(seed))
+        assert (res.degrees, res.euler, res.pushforward) == (
+            oracle.degrees, oracle.euler, oracle.pushforward)
+        return res
+
+    @FIELDS
+    @SEEDS
+    @pytest.mark.parametrize("make, chi", [
+        (lambda field: _rational_normal_curve(3, field), 2),
+        (_segre_p1xp2, 6),
+        (_cubic_scroll, 4),
+    ], ids=["twisted_cubic", "p1xp2", "cubic_scroll"])
+    def test_smooth_goldens_match_inclusion_exclusion(self, make, chi, seed, field, monkeypatch):
+        assert self._both_routes(make(field), seed, monkeypatch).euler == chi
+
+    @FIELDS
+    @SEEDS
+    @pytest.mark.parametrize("n, degrees", [(3, (2, 2)), (3, (1, 3)), (4, (1, 1, 2))],
+                             ids=["P3-2.2", "P3-1.3", "P4-1.1.2"])
+    def test_complete_intersections(self, n, degrees, seed, field, monkeypatch):
+        R = _ring(n + 1, field)
+        rng = random.Random(seed)
+        I = Ideal(R, [R.random_form(d, rng) for d in degrees])
+        res = self._both_routes(I, seed, monkeypatch)
+        assert res.euler == complete_intersection_euler(n, degrees)
+
+    @FIELDS
+    @SEEDS
+    @pytest.mark.parametrize("d, e", [(1, 2), (2, 2), (2, 3), (3, 3)])
+    def test_plane_curve_pairs_meet_in_bezout_many_points(self, d, e, seed, field, monkeypatch):
+        R = _ring(3, field)
+        rng = random.Random(seed)
+        I = Ideal(R, [R.random_form(d, rng), R.random_form(e, rng)])
+        res = self._both_routes(I, seed, monkeypatch)
+        assert res.pushforward.coeffs[2] == res.euler == d * e
+
+    def test_minors_are_determinants(self):
+        x = _ring(9).gens()
+        matrix = [x[0:3], x[3:6], x[6:9]]
+        leibniz = x[0].ring.zero()
+        for perm in itertools.permutations(range(3)):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            leibniz += (-1) ** inversions * math.prod(row[j] for row, j in zip(matrix, perm))
+        assert csm._minors(matrix, 3) == [leibniz]
+        assert csm._minors(matrix[:2], 2)[0] == x[0] * x[4] - x[1] * x[3]
+
+    def test_top_segre_class_must_be_the_hilbert_degree(self, twisted_cubic, monkeypatch):
+        # one residual point fewer at the first level gives deg s_0 = 4: the
+        # s_0 >= deg I bound of segre._residuals passes, a smooth X refuses
+        real = segre.residual_degrees_symbolic
+
+        def deflated(I, *args, **kwargs):
+            res = real(I, *args, **kwargs)
+            first = res.n - res.k
+            return ResidualDegrees(res.n, res.k, res.m,
+                                   {**res.degrees, first: res.degrees[first] - 1})
+
+        monkeypatch.setattr(segre, "residual_degrees_symbolic", deflated)
+        with pytest.raises(GenericityError, match="differs from the Hilbert degree 3"):
+            csm_subscheme(twisted_cubic, rng=random.Random(1))
+
+
+def _singular_cases(field):
+    """(name, ideal, chi, the certificate check that fails) for singular schemes."""
+    x, y, z, w = _ring(4, field).gens()
+    a, b, c, d, _ = _ring(5, field).gens()
+    rank = "rank of the Jacobian"
+    return [
+        # a plane and the fat point (x^2, y^2, z) off it: passes the rank check
+        ("plane_and_fat_point", Ideal(x.ring, [w * x * x, w * y * y, w * z]), 4,
+         "a component of dimension below 2"),
+        ("nodal_cubic_in_a_plane", Ideal(x.ring, [w, x**3 + x * x * z - y * y * z]), 1, rank),
+        ("two_meeting_lines", Ideal(x.ring, [x * y, z]), 3, rank),
+        # the cone over a conic: a C-bundle over P^1 plus the vertex
+        ("quadric_cone", Ideal(a.ring, [a * a + b * b - c * c, d]), 3, rank),
+    ]
+
+
+class TestSmoothRouteFallback:
+    """A failed certificate takes inclusion-exclusion, never a wrong integer."""
+
+    @FIELDS
+    @pytest.mark.parametrize("case", range(4), ids=[c[0] for c in _singular_cases(PRIME)])
+    def test_singular_schemes_fall_back(self, case, field, monkeypatch, caplog):
+        _, I, chi, reason = _singular_cases(field)[case]
+        routes = _route_spy(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger="charclass.csm")
+        assert csm_subscheme(I, rng=random.Random(1)).euler == chi
+        assert routes and set(routes) == {"inclusion-exclusion"}
+        assert f"inclusion-exclusion: {reason}" in caplog.text
+
+    def test_numeric_backend_keeps_inclusion_exclusion(self, twisted_cubic, monkeypatch):
+        monkeypatch.setattr(csm, "_smoothness_gap", None)  # a call would raise
+        monkeypatch.setattr(csm, "csm_inclusion_exclusion", lambda I, backend, rng: backend)
+        assert csm_subscheme(twisted_cubic, backend="numeric", rng=random.Random(1)) == "numeric"
+
+
+class TestClosedForms:
+    """Smooth families pinned by closed forms, not by the other route."""
+
+    @pytest.mark.parametrize("make, ngens, chi", [
+        (lambda: _rational_normal_curve(4), 6, 2),  # a P^1
+        (_veronese_surface, 6, 3),  # a P^2
+        (_segre_p1xp2, 3, 6),  # chi(P^1) chi(P^2)
+    ], ids=["rational_normal_quartic", "veronese_surface", "p1xp2"])
+    def test_euler_characteristic(self, make, ngens, chi):
+        I = make()
+        assert len(I.gens) == ngens
+        assert euler_characteristic(I, rng=random.Random(1)) == chi
 
 
 class TestCompleteIntersections:

@@ -18,7 +18,7 @@ from charclass import (
     squarefree_part,
 )
 from charclass.poly import _SLOTMAX, _Codec, change_field, substitute_linear
-from charclass.squarefree import certified_coprime
+from charclass.squarefree import _line_ring, certified_coprime
 
 from helpers import PRIME, dehomogenize, evaluate, lcm_oracle, scalar_equal
 
@@ -338,6 +338,20 @@ class TestCertifiedCoprime:
             h = ring.random_form(rng.randrange(1, 3), rng)
             f, g = ring.random_form(1, rng), ring.random_form(2, rng)
             assert not certified_coprime(h * f, h * g, rng)
+
+    def test_line_ring_built_once_per_field(self):
+        _line_ring.cache_clear()
+        for field in (FieldSpec(PRIME), FieldSpec(0)):
+            ring = Ring(("x", "y", "z"), field)
+            f, g = ring.gens()[0], ring.gens()[1]
+            for seed in range(3):
+                rng, twin = random.Random(seed), random.Random(seed)
+                assert certified_coprime(f, g, rng)
+                # the draws are the line's two points, one coordinate each
+                for _ in range(2 * ring.nvars):
+                    field.uniform(twin)
+                assert rng.getstate() == twin.getstate()
+        assert _line_ring.cache_info().misses == 2
 
 
 class TestEvaluate:
