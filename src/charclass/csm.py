@@ -38,12 +38,19 @@ route first certifies X smooth over the field it runs in, c = codim X:
       this is a proof, and it needs only a perfect field.  At points of
       top-dimensional components it also rules out embedded points.
   (b) no component of lower dimension, which (a) cannot see (the plane
-      and fat point V(wx^2, wy^2, wz) pass it): for F = c random degree-m
-      elements of I that cut out dimension k, F : (F : I) is the
-      intersection of the top-dimensional primary components of I
+      and fat point V(wx^2, wy^2, wz) pass it).  Vacuous for points
+      (k = 0) and for a complete intersection (s = c, unmixed by
+      Macaulay's theorem).  Otherwise one length decides the common case:
+      for k+1 random linear forms q that are a system of parameters of
+      R = S/I, the length of R/qR is at least e(q, R) = deg X, with
+      equality exactly when R is Cohen-Macaulay (Serre; Matsumura,
+      Commutative Ring Theory, sec. 17), and a Cohen-Macaulay R is
+      unmixed.  It is one Groebner basis in c variables.  When it fails
+      (a bad draw, a curve that is not ACM, an unsaturated I): for F = c
+      random degree-m elements of I that cut out dimension k, F : (F : I)
+      is the intersection of the top-dimensional primary components of I
       (Eisenbud-Huneke-Vasconcelos, Invent. Math. 1992), and it must have
-      the Hilbert polynomial of I.  Vacuous for points (k = 0) and for a
-      complete intersection (s = c, unmixed by Macaulay's theorem).
+      the Hilbert polynomial of I.
 
 A failed check, which a bad draw can also cause, falls back to
 inclusion-exclusion: it costs time and never gives a wrong integer.  On
@@ -71,8 +78,9 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from . import segre
+from . import hilbert, segre
 from .errors import DomainError, GenericityError, ResourceError
+from .groebner import buchberger
 from .ideals import (Ideal, dimension_and_degree, ideal_quotient, jacobian_ideal,
                      random_element_of_degree)
 from .poly import Polynomial, Ring, homogenize, insert_variable, substitute_linear
@@ -360,7 +368,9 @@ def _smoothness_gap(I: Ideal, stats, rng) -> str | None:
 
     (a) I + (k+1 random combinations, per degree, of the c x c minors of
     the Jacobian matrix) is irrelevant, so rank J >= c = codim on V(I);
-    (b) V(I) has no component of lower dimension (_lower_dimensional_gap).
+    (b) V(I) has no component of lower dimension (_lower_dimensional_gap):
+    vacuous for points and complete intersections, shown by one Artinian
+    length when S/I is Cohen-Macaulay (Serre), by the linkage hull else.
     Together: every point lies on a top-dimensional component, whose local
     ring is then regular.  A bad draw can fail the certificate; the caller
     then falls back, so a draw never decides an answer.
@@ -388,19 +398,28 @@ def _smoothness_gap(I: Ideal, stats, rng) -> str | None:
 def _lower_dimensional_gap(I: Ideal, stats, rng) -> str | None:
     """None when V(I) has no component of dimension below k = dim V(I).
 
-    F = c random degree-m elements of I must cut out dimension k; then
-    F : (F : I) is the top-dimensional part of I (Eisenbud-Huneke-
+    Points (k = 0) have no lower dimension, and c generators of
+    codimension c form a complete intersection, which is unmixed.  Next, a
+    Cohen-Macaulay S/I is unmixed (_acm_length_gap).  Only when that check
+    fails: F = c random degree-m elements of I must cut out dimension k;
+    then F : (F : I) is the top-dimensional part of I (Eisenbud-Huneke-
     Vasconcelos), and I has no other component exactly when the two have
     the same Hilbert polynomial: the Hilbert numerators differ by a
-    multiple of (1-t)^(n+1).  Points (k = 0) have no lower dimension, and
-    c generators of codimension c form a complete intersection, which is
-    unmixed.
+    multiple of (1-t)^(n+1).  The check that passed, and why the length
+    check failed, are logged at debug.
     """
     ring = I.ring
     n, k = ring.nvars - 1, stats.dim
     c = n - k
     if k == 0 or len(I.gens) == c:
+        log.debug("no lower-dimensional component: %s",
+                  "points" if k == 0 else "complete intersection")
         return None
+    acm = _acm_length_gap(I, stats, rng)
+    if acm is None:
+        log.debug("no lower-dimensional component: ACM, length %d = deg X", stats.degree)
+        return None
+    log.debug("ACM length check failed: %s; trying the linkage hull", acm)
     m = I.max_degree()
     F = Ideal(ring, [random_element_of_degree(I, m, rng) for _ in range(c)])
     if dimension_and_degree(F).dim != k:
@@ -411,6 +430,37 @@ def _lower_dimensional_gap(I: Ideal, stats, rng) -> str | None:
     # (1-t)^(n+1) divides diff iff its first n+1 Taylor coefficients at t = 1 vanish
     if any(sum(math.comb(i, j) * v for i, v in enumerate(diff)) for j in range(n + 1)):
         return f"a component of dimension below {k}"
+    log.debug("no lower-dimensional component: linkage hull")
+    return None
+
+
+def _acm_length_gap(I: Ideal, stats, rng) -> str | None:
+    """None when S/I is arithmetically Cohen-Macaulay, by one length.
+
+    Restricts I to a random linear space P^(c-1) of codimension k+1, in
+    graph form: the last c coordinates map to y_1..y_c and the first k+1 to
+    random linear forms l_j in them, so the space is V(q) for the k+1 forms
+    q_j = x_j - l_j.  When q cuts R = S/I down to a finite length, q is a
+    system of parameters, and ell(R/qR) >= e(q, R) = deg X, with equality
+    exactly when R is Cohen-Macaulay (Serre; Matsumura, Commutative Ring
+    Theory, sec. 17).  A Cohen-Macaulay R is unmixed.  No draw certifies a
+    ring that is not Cohen-Macaulay, so a bad draw only hands the question
+    to the linkage hull.
+    """
+    ring = I.ring
+    k = stats.dim
+    c = ring.nvars - 1 - k
+    field = ring.field
+    target = Ring(tuple(f"y{i}" for i in range(1, c + 1)), field)
+    y = target.gens()
+    images = [sum((yi * field.uniform(rng) for yi in y), target.zero()) for _ in range(k + 1)]
+    basis = buchberger(substitute_linear(I.gens, images + y))
+    unpack = target.codec.unpack
+    dim_krull, length = hilbert.dimension_degree([unpack(b.lm()) for b in basis], c)
+    if dim_krull:
+        return "the linear section is not a system of parameters"
+    if length != stats.degree:
+        return f"length {length} > deg X = {stats.degree}"  # ell >= e always
     return None
 
 

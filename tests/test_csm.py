@@ -487,6 +487,110 @@ class TestSmoothRouteFallback:
         assert csm_subscheme(twisted_cubic, backend="numeric", rng=random.Random(1)) == "numeric"
 
 
+def _rational_quartic(field=PRIME):
+    """The smooth rational quartic curve in P^3, which is not ACM."""
+    a, b, c, d = _ring(4, field).gens()
+    return Ideal(a.ring, [b * c - a * d, c**3 - b * d * d, a * c * c - b * b * d, b**3 - a * a * c])
+
+
+class _ZerosFirst(random.Random):
+    """A seeded generator whose first `zeros` draws are 0."""
+
+    def __init__(self, zeros, seed):
+        super().__init__(seed)
+        self.zeros = zeros
+
+    def randrange(self, *args):
+        if self.zeros:
+            self.zeros -= 1
+            return 0
+        return super().randrange(*args)
+
+
+class TestLowerDimensionalCheck:
+    """Check (b): one Artinian length for ACM schemes, the linkage hull
+    F : (F : I) only when the length check fails."""
+
+    @pytest.mark.parametrize("make", [
+        lambda field: _rational_normal_curve(3, field),
+        _segre_p1xp2,
+        _cubic_scroll,
+        lambda field: _rational_normal_curve(4, field),
+        _veronese_surface,
+    ], ids=["twisted_cubic", "p1xp2", "cubic_scroll", "rational_normal_quartic",
+            "veronese_surface"])
+    @FIELDS
+    def test_acm_schemes_skip_the_linkage_hull(self, make, field, monkeypatch, caplog):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the linkage hull ran")
+
+        monkeypatch.setattr(csm, "ideal_quotient", forbidden)
+        monkeypatch.setattr(csm, "random_element_of_degree", forbidden)
+        routes = _route_spy(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger="charclass.csm")
+        csm_subscheme(make(field), rng=random.Random(1))
+        assert routes and set(routes) == {"smooth"}
+        assert "no lower-dimensional component: ACM, length" in caplog.text
+
+    @FIELDS
+    def test_non_acm_curve_takes_the_linkage_hull(self, field, monkeypatch, caplog):
+        I = _rational_quartic(field)
+        routes = _route_spy(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger="charclass.csm")
+        res = csm_subscheme(I, rng=random.Random(1))
+        assert routes and set(routes) == {"smooth"}
+        assert "ACM length check failed: length 5 > deg X = 4" in caplog.text
+        assert "no lower-dimensional component: linkage hull" in caplog.text
+        assert (res.euler, res.degrees) == (2, (4, 2))
+        oracle = csm_inclusion_exclusion(I, rng=random.Random(1))
+        assert (res.degrees, res.euler, res.pushforward) == (
+            oracle.degrees, oracle.euler, oracle.pushforward)
+
+    @FIELDS
+    def test_unsaturated_ideal_takes_the_linkage_hull(self, field, monkeypatch, caplog):
+        # the twisted cubic's ideal times the maximal ideal has depth 0
+        tc = _rational_normal_curve(3, field)
+        I = Ideal(tc.ring, [g * v for g in tc.gens for v in tc.ring.gens()])
+        routes = _route_spy(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger="charclass.csm")
+        assert csm_subscheme(I, rng=random.Random(1)).euler == 2
+        assert routes and set(routes) == {"smooth"}
+        assert "ACM length check failed: length 6 > deg X = 3" in caplog.text
+        assert "no lower-dimensional component: linkage hull" in caplog.text
+
+    def test_bad_draw_cannot_certify(self, twisted_cubic, monkeypatch, caplog):
+        # all (k+1) * c = 4 section coefficients 0: the section is V(x, y),
+        # which meets the twisted cubic in the double point [0:0:0:1]
+        stats = csm.dimension_and_degree(twisted_cubic)
+        assert csm._acm_length_gap(twisted_cubic, stats, _ZerosFirst(4, 1)) == (
+            "the linear section is not a system of parameters")
+        # check (b) then hands the question to the linkage hull
+        hull_calls = []
+        quotient = csm.ideal_quotient
+
+        def spy(*args):
+            hull_calls.append(args)
+            return quotient(*args)
+
+        monkeypatch.setattr(csm, "ideal_quotient", spy)
+        caplog.set_level(logging.DEBUG, logger="charclass.csm")
+        assert csm._lower_dimensional_gap(twisted_cubic, stats, _ZerosFirst(4, 1)) is None
+        assert len(hull_calls) == 2
+        assert "not a system of parameters; trying the linkage hull" in caplog.text
+        assert "no lower-dimensional component: linkage hull" in caplog.text
+
+    def test_log_names_the_vacuous_checks(self, P2, P3, caplog):
+        x, y, z = P2.gens()
+        a, b, c, d = P3.gens()
+        caplog.set_level(logging.DEBUG, logger="charclass.csm")
+        csm_subscheme(Ideal(P2, [x * y - z * z, x * x + y * y - z * z]), rng=random.Random(1))
+        assert "no lower-dimensional component: points" in caplog.text
+        caplog.clear()
+        csm_subscheme(Ideal(P3, [a * b - c * d, a * a + b * b + c * c - d * d]),
+                      rng=random.Random(1))
+        assert "no lower-dimensional component: complete intersection" in caplog.text
+
+
 class TestClosedForms:
     """Smooth families pinned by closed forms, not by the other route."""
 
