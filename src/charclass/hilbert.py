@@ -6,10 +6,10 @@ computation is the classical divide-and-conquer pivot recursion
 
     N(I) = N(I + (x_v)) + t * N(I : x_v)
 
-on minimal generating sets, with closed forms for the base cases (pairwise
-coprime generators; pure powers plus at most one mixed generator) and
-memoization on the generator set.  The dimension and degree, and dim_k I_d
-in each degree d, are read off N(t) without another recursion.
+on minimal generating sets, with a closed form for the base case (pure
+powers plus at most one mixed generator) and memoization on the generator
+set.  The dimension and degree, and dim_k I_d in each degree d, are read
+off N(t) without another recursion.
 """
 
 from __future__ import annotations
@@ -48,17 +48,6 @@ def minimalize(gens):
         if not any(all(x >= y for x, y in zip(m, g)) for g in out):
             out.append(m)
     return out
-
-
-def _pairwise_coprime(gens):
-    seen = set()
-    for m in gens:
-        for j, e in enumerate(m):
-            if e:
-                if j in seen:
-                    return False
-                seen.add(j)
-    return True
 
 
 def numerator(gens, nvars: int):
@@ -101,10 +90,6 @@ def _numerator(ms, memo):
     mixed = [m for m in ms if sum(1 for e in m if e) > 1]
     if len(mixed) <= 1:
         result = _base_case(ms, mixed)
-    elif _pairwise_coprime(ms):
-        result = [1]
-        for m in ms:
-            result = poly_mul(result, one_minus_t_power(sum(m)))
     else:
         # pivot on the variable hitting the most generators
         nv = len(ms[0])

@@ -33,13 +33,17 @@ per-path index gathers (tests/helpers.py keeps that tracker as the oracle).
 
 Every path ends in exactly one of four buckets: solution, non-solution,
 singular or diverged.  A level whose buckets do not add up to m^d is an
-error.  Whether an endpoint lies on V(I) is read from one evaluation of
-the table of the generators, each scaled to unit coefficient norm.
-Converged endpoints that do not lie on V(I) and have a nonsingular
-Jacobian are the non-solutions; their count is deg(R_d).  A nonsingular
-root ends exactly one path, so two or more well-conditioned endpoints on one
-point (solutions or not) show that a path jumped onto another's root and
-left one unreached: the level is an error too, logged as `crossed`.
+error.  Conditioning comes first: a converged endpoint where the Jacobian
+of the square system is numerically singular is singular and never
+counted.  A well-conditioned endpoint is a solution when it lies on V(I),
+read from one evaluation of the table of the generators, each scaled to
+unit coefficient norm, and a non-solution otherwise; their count is
+deg(R_d).  An on-variety residual within a factor 10 of the tolerance is
+ambiguous, an error.  A nonsingular root ends exactly one path, so two or
+more well-conditioned endpoints on one point (solutions or not) show that
+a path jumped onto another's root and left one unreached: the level is an
+error too, logged as `crossed`.  Each error is a NumericBackendError, and
+segre.level_degrees draws the level again.
 
 No information flows between levels (no cascade reuse): each level gets
 fresh random data.
@@ -109,10 +113,6 @@ class PathEndpoint:
 
     point: np.ndarray
     status: str  # converged | diverged | singular
-
-
-class _Ambiguous(Exception):
-    """Endpoint too close to the classification threshold; rerun the level."""
 
 
 # -- numeric polynomials -------------------------------------------------------
@@ -368,27 +368,28 @@ def track_path(start, homotopy: StraightLineHomotopy) -> PathEndpoint:
 
 
 def classify_endpoint(point, gens: _Table, square: _Square):
-    """Classify a converged endpoint as solution / non-solution w.r.t. V(I).
+    """Classify a converged endpoint as singular, solution or non-solution w.r.t. V(I).
 
-    `gens` is the table of the generators of I, each scaled to unit
-    coefficient norm.  The residual is their max |g| at the point normalized
-    to unit norm, so it does not change when a generator is rescaled.
-    Non-solutions additionally need a numerically nonsingular Jacobian of
-    the square system.  A residual within a factor 10 of the tolerance
-    raises for a level rerun.
+    Conditioning comes first: a numerically singular Jacobian of the square
+    system makes the endpoint "singular", whatever its residual.  `gens` is
+    the table of the generators of I, each scaled to unit coefficient norm.
+    The residual is their max |g| at the point normalized to unit norm, so
+    it does not change when a generator is rescaled; it is returned with
+    every class.  A well-conditioned endpoint is a solution below the
+    tolerance and a non-solution above it; one within a factor 10 of the
+    tolerance raises NumericBackendError, so the level is drawn again.
     """
     x = np.asarray(point, dtype=np.complex128)
+    cond = np.linalg.cond(square.eval(x[None])[1][0])
     xhat = x / np.linalg.norm(x)
     residual = float(np.abs(gens.eval(xhat[None], jac=False)[0]).max())
-    tol = ON_VARIETY_TOL
-    if tol / 10 <= residual <= tol * 10:
-        raise _Ambiguous(f"on-variety residual {residual:.3e} near tolerance {tol:.1e}")
-    if residual < tol:
-        return "solution", residual
-    cond = np.linalg.cond(square.eval(x[None])[1][0])
     if not np.isfinite(cond) or cond > SINGULAR_COND:
         return "singular", residual
-    return "non-solution", residual
+    tol = ON_VARIETY_TOL
+    if tol / 10 <= residual <= tol * 10:
+        raise NumericBackendError(
+            f"ambiguous endpoint: on-variety residual {residual:.3e} near tolerance {tol:.1e}")
+    return ("solution" if residual < tol else "non-solution"), residual
 
 
 def residual_degrees_numeric(I: Ideal, rng=None, m: int | None = None) -> segre.ResidualDegrees:
@@ -396,22 +397,13 @@ def residual_degrees_numeric(I: Ideal, rng=None, m: int | None = None) -> segre.
 
     Levels, m and the retry budget are segre.level_degrees'; the counts come
     from tracking the m^d total-degree paths of each sliced system, at the
-    levels d below dim_k I_m only.  A level is rerun with fresh randomness on
-    ambiguity or when it fails to account for every path, and a persistent
+    levels d below dim_k I_m only.  A level is drawn again on an ambiguous
+    endpoint or when it fails to account for every path, and a persistent
     failure is a NumericBackendError.
     """
     rng = rng or random.Random()
     gens = [_lift(g) for g in I.gens]
-
-    def count(d, m):
-        try:
-            return _count_level(I.ring, gens, d, m, rng)
-        except (_Ambiguous, NumericBackendError) as exc:
-            log.debug("level %d rerun: %s", d, exc)
-            return str(exc)
-
-    return segre.level_degrees(I, m, count, lambda d, reason: NumericBackendError(
-        f"level {d} stayed ambiguous after {segre.LEVEL_RETRIES} reruns: {reason}"))
+    return segre.level_degrees(I, m, lambda d, m: _count_level(I.ring, gens, d, m, rng))
 
 
 def _gauss(rng):
@@ -494,13 +486,13 @@ def _count_level(ring, gens, d, m, rng) -> int:
 
     unit_gens = _Square([_normalize_row(g) for g in gens], ring.nvars)
     histogram = dict.fromkeys(("solution", "non-solution", "singular", "diverged"), 0)
-    ends = []  # converged, nonsingular endpoints: (point, bucket)
+    ends = []  # well-conditioned endpoints
     for ep in track_paths(starts, hom):
         bucket = ep.status
         if bucket == "converged":
             bucket, _ = classify_endpoint(ep.point, unit_gens, target)
             if bucket != "singular":
-                ends.append((ep.point, bucket))
+                ends.append(ep.point)
         histogram[bucket] += 1
     if sum(histogram.values()) != m**d:
         raise NumericBackendError(
@@ -508,17 +500,12 @@ def _count_level(ring, gens, d, m, rng) -> int:
         )
     # a nonsingular root of the target ends exactly one path, so a cluster of
     # two or more well-conditioned endpoints shows that paths crossed
-    clusters = _clusters([x / np.linalg.norm(x) for x, _ in ends], CLUSTER_TOL)
-    crossed = sum(
-        len(c) - 1 for c in clusters if len(c) > 1 and all(
-            np.linalg.cond(target.eval(ends[i][0][None])[1][0]) < SINGULAR_COND
-            for i in c
-        )
-    )
+    clusters = _clusters([x / np.linalg.norm(x) for x in ends], CLUSTER_TOL)
+    crossed = sum(len(c) - 1 for c in clusters)
     log.debug("level %d path histogram %s crossed %d", d, histogram, crossed)
     if crossed:
         raise NumericBackendError(f"level {d}: {crossed} paths crossed onto another's endpoint")
-    return sum(ends[c[0]][1] == "non-solution" for c in clusters)
+    return histogram["non-solution"]
 
 
 def _clusters(points, tol) -> list:

@@ -27,8 +27,12 @@ the distribution of a random degree-m element of I restricted to the
 plane.  A level whose slice has positive dimension is resampled.
 
 Both backends run one level loop (level_degrees), which owns the levels,
-m and the LEVEL_RETRIES draws per level; a backend supplies the count of
-one level from one draw.  deg s_0 >= deg I is checked once, in _residuals.
+m and the LEVEL_RETRIES draws per level.  A backend's count of one level
+from one draw returns deg R_d or raises: GenericityError here (a slice that
+is not zero-dimensional), NumericBackendError in the homotopy module.  The
+loop redraws on those two errors only, and a level that fails every draw
+re-raises the last error's type.  deg s_0 >= deg I is checked once, in
+_residuals.
 
 The loop answers every level d >= D = dim_k I_m itself, with deg R_d = 0,
 and calls no backend there.  The residual degrees are the projective
@@ -67,7 +71,7 @@ import random
 from dataclasses import dataclass
 
 from . import hilbert
-from .errors import DomainError, GenericityError
+from .errors import DomainError, GenericityError, NumericBackendError
 from .groebner import buchberger
 from .ideals import Ideal, dimension_and_degree
 from .poly import FieldSpec, Polynomial, Ring, change_field, substitute_linear
@@ -152,7 +156,7 @@ def on_prime_images(entry):
     return wrapper
 
 
-def level_degrees(I: Ideal, m: int | None, count, fail) -> ResidualDegrees:
+def level_degrees(I: Ideal, m: int | None, count) -> ResidualDegrees:
     """Residual degrees of X = V(I) at the levels d = n-k..n, for both backends.
 
     m defaults to the maximum generator degree and may only be raised.
@@ -162,9 +166,10 @@ def level_degrees(I: Ideal, m: int | None, count, fail) -> ResidualDegrees:
     residual.  D >= codim X, so only top levels are answered this way, and
     the levels below D draw the same randomness as without the rule.  D is
     read off the Hilbert numerator dimension_and_degree keeps; the zero
-    ideal has D = 0.  count(d, m) is the backend's deg R_d from one random
-    draw, or a string saying why the draw must be repeated; a level that
-    gets no degree in LEVEL_RETRIES draws raises fail(d, last reason).
+    ideal has D = 0.  count(d, m) returns the backend's deg R_d from one
+    random draw, or the draw raises GenericityError or NumericBackendError
+    and the level is drawn again.  A level whose LEVEL_RETRIES draws all
+    raise re-raises the last error's type, with the level and its reason.
     """
     mmax = I.max_degree() if not I.is_zero else 1
     if m is None:
@@ -184,13 +189,14 @@ def level_degrees(I: Ideal, m: int | None, count, fail) -> ResidualDegrees:
             degrees[d] = 0
             continue
         for attempt in range(LEVEL_RETRIES):
-            degree = count(d, m)
-            if not isinstance(degree, str):
-                degrees[d] = degree
+            try:
+                degrees[d] = count(d, m)
                 break
-            log.debug("level %d attempt %d: %s, resampling", d, attempt, degree)
+            except (GenericityError, NumericBackendError) as exc:
+                error = exc
+                log.debug("level %d attempt %d: %s, resampling", d, attempt, exc)
         else:
-            raise fail(d, degree)
+            raise type(error)(f"level {d} failed {LEVEL_RETRIES} draws: {error}") from error
     return ResidualDegrees(n, k, m, degrees)
 
 
@@ -204,13 +210,7 @@ def residual_degrees_symbolic(I: Ideal, rng=None, m: int | None = None) -> Resid
     generator degree and may only be raised.  A level whose slice fails the
     dimension check is resampled, at most LEVEL_RETRIES times per level.
     """
-    def count(d, m):
-        degree = _sliced_degree(I, d, m, rng)
-        return "slice is not zero-dimensional" if degree is None else degree
-
-    return level_degrees(I, m, count, lambda d, _reason: GenericityError(
-        f"residual at level {d} failed the dimension check "
-        f"{LEVEL_RETRIES} times (nongeneric randomness)"))
+    return level_degrees(I, m, lambda d, m: _sliced_degree(I, d, m, rng))
 
 
 def _random_slice(ring: Ring, target: Ring, rng) -> list:
@@ -244,8 +244,9 @@ def _sliced_degree(I, d, m, rng):
     restricting: restriction to L maps the forms of degree e onto the
     polynomials of degree <= e in u_1..u_d, linearly, so a uniform form
     restricts to a uniform polynomial.  Adds 1 - T*g to discard the points
-    on X and counts the standard monomials of the Groebner basis.  None when
-    the basis is not zero-dimensional (the slice was not generic).
+    on X and counts the standard monomials of the Groebner basis.  A basis
+    that is not zero-dimensional (the slice was not generic) raises
+    GenericityError.
     """
     ring = I.ring
     field = ring.field
@@ -271,7 +272,9 @@ def _sliced_degree(I, d, m, rng):
     dim_krull, count = hilbert.dimension_degree(
         [unpack(b.lm()) for b in basis], target.nvars
     )
-    return count if dim_krull == 0 else None
+    if dim_krull:
+        raise GenericityError("slice is not zero-dimensional")
+    return count
 
 
 def _random_cut(target, restricted, supports, rng):

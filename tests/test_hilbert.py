@@ -58,3 +58,9 @@ def test_dimension_degree_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_coprime_mixed_generators():
+    # (xy, zw) in k[x, y, z, w]: a complete intersection of two quadrics,
+    # N(t) = (1 - t^2)^2 through the pivot recursion
+    assert numerator([(1, 1, 0, 0), (0, 0, 1, 1)], 4) == [1, 0, -2, 0, 1]

@@ -26,8 +26,9 @@ from charclass import (
     track_path,
 )
 from charclass import cli, segre
-from charclass.errors import DomainError
+from charclass.errors import DomainError, NumericBackendError
 from charclass.homotopy import (
+    ON_VARIETY_TOL,
     _Square,
     _level_system,
     _lift,
@@ -353,14 +354,32 @@ class TestClassification:
     ON_CURVE = np.array([1, 1, 1, 1], dtype=complex)
     OFF_CURVE = np.array([1.3, -0.7, 2.1, 0.4], dtype=complex)
 
-    @staticmethod
-    def _setup(I):
+    PATCH = {(1, 0, 0, 0): 1.0, (0, 0, 0, 0): -1.0}  # x = 1
+
+    @classmethod
+    def _setup(cls, I):
         # the generators at unit coefficient norm, as _count_level compiles
-        # them, and a simple square system: the three generators + patch
+        # them, and a square system with ON_CURVE as a nonsingular root: two
+        # generators, the linear form x - y through the point, and the patch
         nv = 4
         rows = [_lift(g) for g in I.gens]
-        patch = {(1, 0, 0, 0): 1.0, (0, 0, 0, 0): -1.0}
-        return _Square([_normalize_row(r) for r in rows], nv), _Square(rows + [patch], nv)
+        line = {(1, 0, 0, 0): 1.0, (0, 1, 0, 0): -1.0}
+        return (_Square([_normalize_row(r) for r in rows], nv),
+                _Square(rows[:2] + [line, cls.PATCH], nv))
+
+    def test_singular_endpoint_near_the_tolerance_is_singular(self, twisted_cubic):
+        # conditioning comes first: where the square system is singular the
+        # endpoint is never counted, so a residual in the ambiguity band is
+        # no reason to redraw; a well-conditioned endpoint there still is
+        gens, regular = self._setup(twisted_cubic)
+        rows = [_lift(g) for g in twisted_cubic.gens]
+        singular = _Square([rows[0], rows[1], rows[0], self.PATCH], 4)  # rank <= 3
+        point = self.ON_CURVE + np.array([0, 0, 0, 5.7e-8])
+        cls, residual = classify_endpoint(point, gens, singular)
+        assert cls == "singular"
+        assert ON_VARIETY_TOL / 10 <= residual <= ON_VARIETY_TOL * 10
+        with pytest.raises(NumericBackendError, match="^ambiguous endpoint: on-variety residual"):
+            classify_endpoint(point, gens, regular)
 
     def test_point_on_curve(self, twisted_cubic):
         cls, residual = classify_endpoint(self.ON_CURVE, *self._setup(twisted_cubic))
@@ -482,8 +501,10 @@ class TestPathAccounting:
 
     def test_path_jump_on_nodal_jacobian_is_rerun(self, P2, nodal_cubic, caplog):
         # at this seed two level-2 paths end on the node, a nonsingular
-        # solution of the sliced system, and one residual point went missing
+        # solution of the sliced system, and one residual point went missing;
+        # segre.level_degrees logs the failed draw before it draws again
         caplog.set_level(logging.DEBUG, logger="charclass.homotopy")
+        caplog.set_level(logging.DEBUG, logger="charclass.segre")
         I = Ideal(P2, jacobian_ideal(nodal_cubic).gens)
         res = residual_degrees_numeric(I, random.Random(6631014702230872950))
         assert res.degrees == {2: 3}
@@ -499,11 +520,9 @@ class TestPathAccounting:
 
     def test_persistent_ambiguity_raises(self, twisted_cubic, monkeypatch):
         import charclass.homotopy as hm
-        from charclass.errors import NumericBackendError
-        from charclass.homotopy import _Ambiguous
 
         def always_ambiguous(point, gens, square):
-            raise _Ambiguous("forced")
+            raise NumericBackendError("ambiguous endpoint: forced")
 
         monkeypatch.setattr(hm, "classify_endpoint", always_ambiguous)
         with pytest.raises(NumericBackendError, match="ambiguous"):
