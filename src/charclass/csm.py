@@ -29,8 +29,8 @@ s(X, P^n), as the embedding is regular and s(X, P^n) = c(N)^(-1) cap [X]
     deg (c_SM)_{k-p} = sum_{i<=p} C(n+1, p-i) deg s_i,   k = dim X,
 
 from the one residual computation of the segre module (Eklund-Jost-Peterson,
-arXiv:1109.5895).  With the symbolic backend and s >= 2 generators the
-route first certifies X smooth over the field it runs in, c = codim X:
+arXiv:1109.5895).  With s >= 2 generators and either backend, the route
+first certifies X smooth over the field of the input, c = codim X:
 
   (a) rank J >= c at every point of X, J the Jacobian matrix of G: I plus
       k+1 random combinations, per degree, of the c x c minors of J is
@@ -55,11 +55,15 @@ route first certifies X smooth over the field it runs in, c = codim X:
 A failed check, which a bad draw can also cause, falls back to
 inclusion-exclusion: it costs time and never gives a wrong integer.  On
 the route deg s_0 must equal the Hilbert degree of I, as [X] is the top
-Segre class of a smooth X.  The route is symbolic only: the numeric
-backend lifts GF(p) coefficients into C, where a certificate over GF(p)
-proves nothing, and a certificate over QQ has not been measured.  Rational
-input runs the route on each GF(p) image (segre.on_prime_images).  A
-pushforward's top coefficient is the Euler characteristic.
+Segre class of a smooth X.  The certificate runs in the input's own field
+and the residuals come from either backend.  With the symbolic backend,
+rational input runs the whole route on each GF(p) image
+(segre.on_prime_images).  The numeric backend receives rational input
+itself, so the certificate runs over QQ, where (a) and (b) are exact and
+prove X smooth over C.  For GF(p) input it runs over GF(p), the field from
+which the numeric backend already takes dimension, degree, squarefree
+parts and dim I_m of what it tracks over C; the certificate adds no
+assumption.  A pushforward's top coefficient is the Euler characteristic.
 
 An open set cut out by linear forms L = (l_1..l_k) needs no product
 hypersurface: 1_{X \\ (H_1 u ... u H_k)} = sum_{T subset L} (-1)^|T| 1_{X cap H_T},
@@ -288,23 +292,24 @@ def csm_hypersurface(f: Polynomial, backend: str = "symbolic", rng=None) -> CsmR
 def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None) -> CsmResult:
     """CSM class data of V(I), from its Segre class when V(I) is smooth.
 
-    With the symbolic backend and at least two generators, a V(I) that
-    passes the smoothness certificate (_smoothness_gap) gets its class from
-    one residual computation (_smooth_pushforward); anything else, and a
-    failed certificate, takes csm_inclusion_exclusion.  The route taken is
-    logged at debug.  More than MAX_GENERATORS generators raise
-    ResourceError before either route; the unit ideal is a domain error
+    With at least two generators, a V(I) that passes the smoothness
+    certificate (_smoothness_gap), run in the field of I, gets its class
+    from one residual computation of the given backend
+    (_smooth_pushforward); one generator, and a failed certificate, take
+    csm_inclusion_exclusion.  The route taken is logged at debug.  More
+    than MAX_GENERATORS generators raise ResourceError before either
+    route; the unit ideal is a domain error
     (empty scheme).  The top-dimensional CSM degree must lie between 1 and
     the Hilbert degree on both routes (GenericityError otherwise).  A
-    rational ideal runs on GF(p) images with the symbolic backend (see
-    segre.on_prime_images).
+    rational ideal runs on GF(p) images with the symbolic backend and stays
+    over QQ with the numeric one (see segre.on_prime_images).
     """
     stats = _subscheme_stats(I)
-    if backend == "symbolic" and len(I.gens) >= 2:
+    if len(I.gens) >= 2:
         gap = _smoothness_gap(I, stats, rng)
         if gap is None:
             log.debug("smooth route: V(I) certified smooth, class from its Segre class")
-            return _checked_result(_smooth_pushforward(I, stats, rng), stats)
+            return _checked_result(_smooth_pushforward(I, backend, rng), stats)
         log.debug("inclusion-exclusion: %s", gap)
     return csm_inclusion_exclusion(I, backend=backend, rng=rng)
 
@@ -315,7 +320,7 @@ def csm_inclusion_exclusion(I: Ideal, backend: str = "symbolic", rng=None) -> Cs
 
     Costs 2^s - 1 hypersurface computations for s generators, one per
     nonempty subset, taken size-major.  The zero ideal gives c_SM(P^n).
-    The route for singular schemes and the numeric backend, and the oracle
+    The route for singular schemes and for one generator, and the oracle
     the smooth route is tested against; same errors and checks as
     csm_subscheme.  The top-dimensional CSM degree is the degree of the
     reduced top-dimensional part, so anything outside [1, Hilbert degree]
@@ -489,21 +494,16 @@ def _minors(matrix, c: int):
     return list(layer.values())
 
 
-def _smooth_pushforward(I: Ideal, stats, rng) -> ClassExpr:
+def _smooth_pushforward(I: Ideal, backend, rng) -> ClassExpr:
     """(1+H)^(n+1) cap s(X, P^n) for a smooth X = V(I), pushed into P^n.
 
     deg (c_SM)_{k-p} = sum_{i<=p} C(n+1, p-i) deg s_i is the coefficient
-    of H^(c+p); there are zeros below H^c.  For a smooth X the top Segre
-    class is [X], so deg s_0 must equal the Hilbert degree of I; anything
-    else means the residuals were not generic and raises GenericityError.
+    of H^(c+p); there are zeros below H^c.  The top one is deg s_0, which
+    segre._residuals bounds below by the Hilbert degree and _checked_result
+    above by it: for a smooth X the top Segre class is [X].
     """
-    R = segre._residuals(I, "symbolic", rng, None)
+    R = segre._residuals(I, backend, rng, None)
     s = segre.segre_from_residuals(R).values
-    if s[0] != stats.degree:
-        raise GenericityError(
-            f"deg s_0 = {s[0]} differs from the Hilbert degree {stats.degree} "
-            "of a smooth scheme; residuals suspect"
-        )
     n, k = R.n, R.k
     top = [sum(math.comb(n + 1, p - i) * s[i] for i in range(p + 1)) for p in range(k + 1)]
     return ClassExpr(n, (0,) * (n - k) + tuple(top))

@@ -74,7 +74,7 @@ from . import hilbert
 from .errors import DomainError, GenericityError, NumericBackendError
 from .groebner import buchberger
 from .ideals import Ideal, dimension_and_degree
-from .poly import FieldSpec, Polynomial, Ring, change_field, substitute_linear
+from .poly import FieldSpec, Polynomial, Ring, _reduce, change_field, substitute_linear
 from .primes import random_prime
 
 log = logging.getLogger(__name__)
@@ -290,8 +290,7 @@ def _random_cut(target, restricted, supports, rng):
 
 
 def _combination(target, polys, multipliers):
-    """sum_j multipliers[j] * polys[j] over GF(p), multipliers as {key: coeff}."""
-    p = target.field.p
+    """sum_j multipliers[j] * polys[j], multipliers as {key: coeff}."""
     one = target.codec.one
     acc = {}
     for f, mu in zip(polys, multipliers):
@@ -304,7 +303,7 @@ def _combination(target, polys, multipliers):
                 k += shift
                 v = acc.get(k)
                 acc[k] = mc * c if v is None else v + mc * c
-    return Polynomial(target, {k: r for k, v in acc.items() if (r := v % p)})
+    return Polynomial(target, _reduce(acc, target.field.p))
 
 
 def segre_from_residuals(R: ResidualDegrees) -> SegreDegrees:

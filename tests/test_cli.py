@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import charclass.cli
+import charclass.csm
 from charclass.cli import main, run
 from charclass.errors import GenericityError
 from charclass.problemfile import parse_problem
@@ -249,9 +250,12 @@ def test_numeric_mldeg_censoring(capsys, seed):
     assert (data["ml_degree"], data["chi_X"], data["chi_cut"]) == (3, 5, 2)
 
 
-def test_numeric_subscheme_invariant_is_a_genericity_exit(capsys):
-    # at this seed the random residuals give the twisted cubic a top CSM
-    # degree of 4 > its degree 3: a valid input, so exit 4, not 3 (domain)
+def test_numeric_subscheme_invariant_is_a_genericity_exit(capsys, monkeypatch):
+    # with the certificate refused and drawing nothing, the CLI makes the
+    # draws of csm_inclusion_exclusion(ideal, "numeric", Random(3)); at this
+    # seed the residuals of the product Jacobians give the twisted cubic a
+    # top CSM degree of 4 > its degree 3: a valid input, so exit 4, not 3
+    monkeypatch.setattr(charclass.csm, "_smoothness_gap", lambda I, stats, rng: "refused")
     argv = ["euler", str(PROBLEMS / "twisted_cubic.id"), "--field", "0",
             "--backend", "numeric", "--seed", "3"]
     assert main(argv) == 4

@@ -438,7 +438,8 @@ class TestSmoothRoute:
 
     def test_top_segre_class_must_be_the_hilbert_degree(self, twisted_cubic, monkeypatch):
         # one residual point fewer at the first level gives deg s_0 = 4: the
-        # s_0 >= deg I bound of segre._residuals passes, a smooth X refuses
+        # s_0 >= deg I bound of segre._residuals passes, and the top CSM
+        # degree of a smooth X, which is deg s_0, refuses
         real = segre.residual_degrees_symbolic
 
         def deflated(I, *args, **kwargs):
@@ -448,7 +449,7 @@ class TestSmoothRoute:
                                    {**res.degrees, first: res.degrees[first] - 1})
 
         monkeypatch.setattr(segre, "residual_degrees_symbolic", deflated)
-        with pytest.raises(GenericityError, match="differs from the Hilbert degree 3"):
+        with pytest.raises(GenericityError, match=r"degree 4 outside \[1, 3\]"):
             csm_subscheme(twisted_cubic, rng=random.Random(1))
 
 
@@ -481,10 +482,65 @@ class TestSmoothRouteFallback:
         assert routes and set(routes) == {"inclusion-exclusion"}
         assert f"inclusion-exclusion: {reason}" in caplog.text
 
-    def test_numeric_backend_keeps_inclusion_exclusion(self, twisted_cubic, monkeypatch):
-        monkeypatch.setattr(csm, "_smoothness_gap", None)  # a call would raise
+    def test_numeric_backend_consults_the_certificate(self, twisted_cubic, monkeypatch):
+        certified = []
+        monkeypatch.setattr(csm, "_smoothness_gap",
+                            lambda I, stats, rng: certified.append(I) or "refused")
         monkeypatch.setattr(csm, "csm_inclusion_exclusion", lambda I, backend, rng: backend)
         assert csm_subscheme(twisted_cubic, backend="numeric", rng=random.Random(1)) == "numeric"
+        assert certified == [twisted_cubic]
+
+    @FIELDS
+    def test_numeric_singular_scheme_falls_back(self, field, monkeypatch, caplog):
+        cases = {name: rest for name, *rest in _singular_cases(field)}
+        I, chi, reason = cases["nodal_cubic_in_a_plane"]
+        routes = _route_spy(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger="charclass.csm")
+        assert csm_subscheme(I, backend="numeric", rng=random.Random(1)).euler == chi
+        assert routes == ["inclusion-exclusion"]
+        assert f"inclusion-exclusion: {reason}" in caplog.text
+
+
+class TestNumericSmoothRoute:
+    """The numeric backend takes the smooth route on the certificate, run in
+    the input's own field, and gives the symbolic backend's answers."""
+
+    @staticmethod
+    def _matches_symbolic(I, seed, monkeypatch):
+        routes = _route_spy(monkeypatch)
+        res = csm_subscheme(I, backend="numeric", rng=random.Random(seed))
+        assert routes == ["smooth"]
+        oracle = csm_subscheme(I, rng=random.Random(seed))
+        assert (res.degrees, res.euler, res.pushforward) == (
+            oracle.degrees, oracle.euler, oracle.pushforward)
+        return res
+
+    @FIELDS
+    @SEEDS
+    @pytest.mark.parametrize("make, chi", [
+        (lambda field: _rational_normal_curve(3, field), 2),
+        (_cubic_scroll, 4),
+    ], ids=["twisted_cubic", "cubic_scroll"])
+    def test_smooth_goldens(self, make, chi, seed, field, monkeypatch):
+        assert self._matches_symbolic(make(field), seed, monkeypatch).euler == chi
+
+    @pytest.mark.parametrize("field, seed", [(PRIME, s) for s in range(1, 6)] + [(0, 1)],
+                             ids=[f"gfp-{s}" for s in range(1, 6)] + ["qq-1"])
+    def test_p1xp2(self, field, seed, monkeypatch):
+        assert self._matches_symbolic(_segre_p1xp2(field), seed, monkeypatch).euler == 6
+
+    def test_rational_input_is_certified_over_qq(self, monkeypatch):
+        I = _rational_normal_curve(3, 0)
+        certified = []
+        real = csm._smoothness_gap
+
+        def spy(J, stats, rng):
+            certified.append(J)
+            return real(J, stats, rng)
+
+        monkeypatch.setattr(csm, "_smoothness_gap", spy)
+        assert csm_subscheme(I, backend="numeric", rng=random.Random(1)).euler == 2
+        assert len(certified) == 1 and certified[0] is I
 
 
 def _rational_quartic(field=PRIME):

@@ -25,8 +25,8 @@ from charclass import (
     segre_degrees,
     track_path,
 )
-from charclass import cli, segre
-from charclass.errors import DomainError, NumericBackendError
+from charclass import cli, csm, segre
+from charclass.errors import NumericBackendError
 from charclass.homotopy import (
     ON_VARIETY_TOL,
     _Square,
@@ -450,10 +450,6 @@ class TestNumericResiduals:
         sym = residual_degrees_symbolic(I, random.Random(6))
         assert num.degrees == sym.degrees == {2: 1, 3: 0, 4: 0, 5: 0}
 
-    def test_empty_scheme_rejected(self, P2):
-        with pytest.raises(DomainError):
-            residual_degrees_numeric(Ideal(P2, [P2.one()]), random.Random(0))
-
 
 class TestPathAccounting:
     def test_total_paths_equal_bezout(self, twisted_cubic, caplog):
@@ -513,7 +509,12 @@ class TestPathAccounting:
     @pytest.mark.xfail(strict=True, reason=(
         "known undercount: a diverged path can hide a non-solution, so a level "
         "comes out one short and the run exits 0 with chi = 1"))
-    def test_diverged_path_does_not_lower_euler(self, capsys):
+    def test_diverged_path_does_not_lower_euler(self, capsys, monkeypatch):
+        # a smooth input takes the smooth route; with the certificate refused
+        # and drawing nothing, the CLI makes the draws of
+        # csm_inclusion_exclusion(ideal, "numeric", Random(7)), whose product
+        # Jacobians hold the undercount
+        monkeypatch.setattr(csm, "_smoothness_gap", lambda I, stats, rng: "refused")
         code = cli.main(["euler", str(PROBLEMS / "twisted_cubic.id"), "--field", "0",
                          "--backend", "numeric", "--seed", "7"])
         assert code != 0 or "euler characteristic: 2\n" in capsys.readouterr().out

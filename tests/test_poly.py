@@ -293,6 +293,19 @@ class TestSquarefree:
         with pytest.raises(DomainError):
             squarefree_part(P2.zero(), rng)
 
+    @pytest.mark.parametrize("field", [PRIME, 0], ids=["gfp", "qq"])
+    def test_factor_the_direction_annihilates_is_kept(self, field):
+        # the first direction has v_x = 0, so D_v x = 0 and x divides
+        # gcd(f, D_v f) although f is squarefree; f / gcd would lack x
+        class FirstDrawZero(random.Random):
+            def randrange(self, *args):
+                self.drawn = getattr(self, "drawn", 0) + 1
+                return 0 if self.drawn == 1 else super().randrange(*args)
+
+        x, y, z = Ring(("x", "y", "z"), FieldSpec(field)).gens()
+        f = x * y * (y * y - x * z)
+        assert scalar_equal(squarefree_part(f, FirstDrawZero(1)), f)
+
 
 class TestGcd:
     def test_shared_factor(self, P2, rng):
