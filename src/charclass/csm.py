@@ -56,14 +56,12 @@ A failed check, which a bad draw can also cause, falls back to
 inclusion-exclusion: it costs time and never gives a wrong integer.  On
 the route deg s_0 must equal the Hilbert degree of I, as [X] is the top
 Segre class of a smooth X.  The certificate runs in the input's own field
-and the residuals come from either backend.  With the symbolic backend,
-rational input runs the whole route on each GF(p) image
-(segre.on_prime_images).  The numeric backend receives rational input
-itself, so the certificate runs over QQ, where (a) and (b) are exact and
-prove X smooth over C.  For GF(p) input it runs over GF(p), the field from
-which the numeric backend already takes dimension, degree, squarefree
-parts and dim I_m of what it tracks over C; the certificate adds no
-assumption.  A pushforward's top coefficient is the Euler characteristic.
+and either backend gives the residuals.  With the symbolic backend, rational
+input runs the whole route on each GF(p) image (segre.on_prime_images); the
+numeric backend receives the rational ideal itself, so (a) and (b) run over
+QQ and prove X smooth over C.  GF(p) input is certified over GF(p), from
+which the numeric backend already takes dimension, degree, squarefree parts
+and dim I_m.  A pushforward's top coefficient is the Euler characteristic.
 
 An open set cut out by linear forms L = (l_1..l_k) needs no product
 hypersurface: 1_{X \\ (H_1 u ... u H_k)} = sum_{T subset L} (-1)^|T| 1_{X cap H_T},
@@ -292,17 +290,16 @@ def csm_hypersurface(f: Polynomial, backend: str = "symbolic", rng=None) -> CsmR
 def csm_subscheme(I: Ideal, backend: str = "symbolic", rng=None) -> CsmResult:
     """CSM class data of V(I), from its Segre class when V(I) is smooth.
 
-    With at least two generators, a V(I) that passes the smoothness
-    certificate (_smoothness_gap), run in the field of I, gets its class
-    from one residual computation of the given backend
-    (_smooth_pushforward); one generator, and a failed certificate, take
-    csm_inclusion_exclusion.  The route taken is logged at debug.  More
-    than MAX_GENERATORS generators raise ResourceError before either
-    route; the unit ideal is a domain error
-    (empty scheme).  The top-dimensional CSM degree must lie between 1 and
-    the Hilbert degree on both routes (GenericityError otherwise).  A
-    rational ideal runs on GF(p) images with the symbolic backend and stays
-    over QQ with the numeric one (see segre.on_prime_images).
+    With at least two generators, a V(I) that passes the smoothness certificate
+    (_smoothness_gap), run in the field of I, gets its class from one residual
+    computation of the given backend (_smooth_pushforward); one generator, and
+    a failed certificate, take csm_inclusion_exclusion.  The route taken is
+    logged at debug.  More than MAX_GENERATORS generators raise ResourceError
+    before either route; the unit ideal is a domain error (empty scheme).  The
+    top-dimensional CSM degree must lie between 1 and the Hilbert degree on
+    both routes (GenericityError otherwise).  A rational ideal runs on GF(p)
+    images with the symbolic backend and stays over QQ with the numeric one
+    (see segre.on_prime_images).
     """
     stats = _subscheme_stats(I)
     if len(I.gens) >= 2:

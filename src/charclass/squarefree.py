@@ -1,16 +1,15 @@
 """Squarefree parts and gcds of homogeneous polynomials.
 
 The squarefree part is f / gcd(f, D_v f) for a random direction v, verified
-a posteriori (the result must divide f, every factor of the gcd must divide
-it, and its own generic directional derivative must be coprime to it); the
-direction is resampled on failure.
+a posteriori (it must divide f, keep every factor of the gcd, and its own
+generic directional derivative must be coprime to it); else v is redrawn.
 
 gcd(f, g) is exact, not probabilistic: (f) meet (g) is the principal ideal
-generated by lcm(f, g), one ideals.intersect (a small tag-variable
-elimination), and gcd = f*g / lcm.  A cheap certificate avoids that
-Groebner call in the common coprime case: poly.substitute_linear restricts
-f and g to a random affine line, and coprime univariate restrictions of
-full degree certify gcd = 1.
+generated by lcm(f, g), obtained from one small tag-variable elimination,
+and gcd = f*g / lcm.  A cheap certificate avoids that Groebner call in the
+common coprime case: poly.substitute_linear restricts f and g to a random
+affine line, and coprime univariate restrictions of full degree certify
+gcd = 1.
 """
 
 from __future__ import annotations
@@ -19,9 +18,10 @@ import functools
 import random
 
 from .errors import DomainError, GenericityError
-from .groebner import exact_divide, normal_form
-from .ideals import Ideal, intersect
-from .poly import Polynomial, Ring, directional_derivative, substitute_linear
+from .groebner import buchberger, exact_divide, normal_form
+from .ideals import _tag_ring
+from .poly import (Polynomial, Ring, directional_derivative, drop_variable, map_to_ring,
+                   substitute_linear)
 
 RETRIES = 6  # random directions tried before GenericityError
 
@@ -91,7 +91,7 @@ def certified_coprime(f: Polynomial, g: Polynomial, rng) -> bool:
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Exact gcd of homogeneous polynomials (monic normalization).
 
-    (f) meet (g) = (lcm) by ideals.intersect, then gcd = f*g / lcm.
+    Uses (f) meet (g) = (lcm) via tag elimination, then gcd = f*g / lcm.
     """
     if f.is_zero():
         return g.monic()
@@ -99,10 +99,15 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         return f.monic()
     if f.is_constant() or g.is_constant():
         return f.ring.one()
-    meet = intersect(Ideal(f.ring, [f]), Ideal(f.ring, [g]))
-    if len(meet.gens) != 1:
+    ring = f.ring
+    tring = _tag_ring(ring)
+    t = tring.var(0)
+    gens = [t * map_to_ring(f, tring, 0), (tring.one() - t) * map_to_ring(g, tring, 0)]
+    gb = buchberger(gens)
+    free = [h for h in gb if tring.codec.tag(h.lm()) == 0]
+    if len(free) != 1:
         raise DomainError("intersection of principal ideals was not principal")
-    lcm, = meet.gens
+    lcm = drop_variable(free[0], ring, 0)
     return exact_divide(f * g, lcm).monic()
 
 
@@ -138,8 +143,7 @@ def squarefree_part(f: Polynomial, rng=None) -> Polynomial:
             candidate = exact_divide(f, d)
         except DomainError:
             continue
-        # a factor p of f with D_v p = 0 divides d to its full power, so f / d
-        # lacks it: every factor of d must divide the candidate
+        # f / d lacks a factor p of f with D_v p = 0; then d divides no power of f / d
         if normal_form(candidate ** d.total_degree(), [d]):
             continue
         # verification pass: divides f, and own directional derivative coprime
