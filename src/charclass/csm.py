@@ -33,10 +33,14 @@ arXiv:1109.5895).  With s >= 2 generators and either backend, the route
 first certifies X smooth over the field of the input, c = codim X:
 
   (a) rank J >= c at every point of X, J the Jacobian matrix of G: I plus
-      k+1 random combinations, per degree, of the c x c minors of J is
-      irrelevant.  V of the combinations contains V of all the minors, so
-      this is a proof, and it needs only a perfect field.  At points of
-      top-dimensional components it also rules out embedded points.
+      k+1 random combinations, per degree, of the c x c minors of J has no
+      zero in P^n.  V of the combinations contains V of all the minors, so
+      this is a proof, and it needs only a perfect field.  The zero set is
+      empty exactly when it misses the chart x_n = 1 (the Groebner basis
+      there is {1}) and the hyperplane x_n = 0 (the lead monomials there
+      hold a pure power of each other variable): two bases in n
+      variables, with no draw.  At points of top-dimensional components
+      it also rules out embedded points.
   (b) no component of lower dimension, which (a) cannot see (the plane
       and fat point V(wx^2, wy^2, wz) pass it).  Vacuous for points
       (k = 0) and for a complete intersection (s = c, unmixed by
@@ -369,7 +373,8 @@ def _smoothness_gap(I: Ideal, stats, rng) -> str | None:
     """None when V(I) is certified smooth, else why the certificate failed.
 
     (a) I + (k+1 random combinations, per degree, of the c x c minors of
-    the Jacobian matrix) is irrelevant, so rank J >= c = codim on V(I);
+    the Jacobian matrix) has no zero in P^n (_zero_gap, which names the
+    half of P^n where a zero lies), so rank J >= c = codim on V(I);
     (b) V(I) has no component of lower dimension (_lower_dimensional_gap):
     vacuous for points and complete intersections, shown by one Artinian
     length when S/I is Cohen-Macaulay (Serre), by the linkage hull else.
@@ -392,9 +397,51 @@ def _smoothness_gap(I: Ideal, stats, rng) -> str | None:
         for group in by_degree.values()
         for _ in range(k + 1)
     ]
-    if dimension_and_degree(Ideal(ring, list(I.gens) + cuts)).dim >= 0:
-        return f"rank of the Jacobian below the codimension {c} at some point"
+    where = _zero_gap(list(I.gens) + cuts)
+    if where is not None:
+        return f"rank of the Jacobian below the codimension {c} {where}"
     return _lower_dimensional_gap(I, stats, rng)
+
+
+def _zero_gap(forms) -> str | None:
+    """None when the forms have no common zero in P^n, else where one lies.
+
+    V = V(forms) is empty exactly when it misses the chart x_n = 1 and the
+    hyperplane x_n = 0.  Each half is one Groebner basis in x_0..x_(n-1),
+    kept in the ring of the forms with x_n absent from every term:
+      - chart: x_n's exponent is dropped from every term; the forms are
+        homogeneous, so no two terms of one form collide.  V misses the
+        chart exactly when the basis is {1} (weak Nullstellensatz).
+      - hyperplane: the terms free of x_n are kept.  V misses it exactly
+        when the lead monomials hold a pure power of each of x_0..x_(n-1)
+        (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, sec. 5.3).
+    One homogeneous basis of the forms in n+1 variables would instead have
+    to climb to the regularity before a power of x_n, the grevlex-last
+    variable, leads.
+    """
+    ring = forms[0].ring
+    n = ring.nvars - 1
+    codec = ring.codec
+    divides = codec.divides
+    xn = ring.var(n).lm()
+    step = xn - codec.one  # a key times x_n is the key plus step
+    chart, hyperplane = [], []
+    for f in forms:
+        on_chart, on_hyperplane = {}, {}
+        for key, coeff in f._t.items():
+            if not divides(xn, key):
+                on_hyperplane[key] = coeff
+            while divides(xn, key):
+                key -= step
+            on_chart[key] = coeff
+        chart.append(Polynomial(ring, on_chart))
+        hyperplane.append(Polynomial(ring, on_hyperplane))
+    if not buchberger(chart)[0].is_constant():
+        return "at some point with x_n != 0"
+    leads = [codec.unpack(g.lm()) for g in buchberger(hyperplane)]
+    if not all(any(not any(e[:j] + e[j + 1:]) for e in leads) for j in range(n)):
+        return "on x_n = 0"
+    return None
 
 
 def _lower_dimensional_gap(I: Ideal, stats, rng) -> str | None:

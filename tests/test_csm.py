@@ -27,12 +27,14 @@ from charclass import (
     csm_hypersurface,
     csm_inclusion_exclusion,
     csm_subscheme,
+    dimension_and_degree,
     euler_characteristic,
     jacobian_ideal,
     ml_degree,
     parse_problem,
     poly_gcd,
     residual_degrees_symbolic,
+    saturation,
     segre_degrees,
     segre_from_shadow,
     shadow_from_segre,
@@ -318,8 +320,6 @@ class TestSubschemes:
 
     def test_reduced_degree_on_golden_examples(self, twisted_cubic, P2, rng):
         # coefficient of H^(n - dim X) equals deg(X_red)
-        from charclass import dimension_and_degree
-
         for I in (twisted_cubic, Ideal(P2, [P2.var(0), P2.var(1)])):
             res = csm_subscheme(I, rng=rng)
             st = dimension_and_degree(I)
@@ -344,6 +344,11 @@ def _rational_normal_curve(n, field=PRIME):
 def _segre_p1xp2(field=PRIME):
     x = _ring(6, field).gens()
     return Ideal(x[0].ring, _two_by_two_minors(x[:3], x[3:]))
+
+
+def _segre_p1xp3(field=PRIME):
+    x = _ring(8, field).gens()
+    return Ideal(x[0].ring, _two_by_two_minors(x[:4], x[4:]))
 
 
 def _cubic_scroll(field=PRIME):
@@ -491,6 +496,18 @@ class TestSmoothRouteFallback:
         assert certified == [twisted_cubic]
 
     @FIELDS
+    @pytest.mark.parametrize("case, where", [
+        ("two_meeting_lines", "at some point with x_n != 0"),  # they meet at [0:0:0:1]
+        ("nodal_cubic_in_a_plane", "on x_n = 0"),  # the node is [0:0:1:0]
+    ], ids=["chart", "hyperplane"])
+    def test_rank_refusal_names_the_half(self, case, where, field, caplog):
+        I = {name: ideal for name, ideal, *_ in _singular_cases(field)}[case]
+        caplog.set_level(logging.DEBUG, logger="charclass.csm")
+        csm_subscheme(I, rng=random.Random(1))
+        assert ("inclusion-exclusion: rank of the Jacobian below the codimension 2 "
+                + where) in caplog.text
+
+    @FIELDS
     def test_numeric_singular_scheme_falls_back(self, field, monkeypatch, caplog):
         cases = {name: rest for name, *rest in _singular_cases(field)}
         I, chi, reason = cases["nodal_cubic_in_a_plane"]
@@ -499,6 +516,57 @@ class TestSmoothRouteFallback:
         assert csm_subscheme(I, backend="numeric", rng=random.Random(1)).euler == chi
         assert routes == ["inclusion-exclusion"]
         assert f"inclusion-exclusion: {reason}" in caplog.text
+
+
+def _sparse_forms(R, count, rng):
+    """count forms of degree 1-2 on random supports, so that their common
+    zeros often lie on coordinate subspaces, x_n = 0 among them."""
+    forms = []
+    while len(forms) < count:
+        support = [e for e in R.monomials_of_degree(rng.randint(1, 2)) if rng.random() < 0.4]
+        f = R.from_exp_dict({e: rng.randint(1, 5) for e in support})
+        if f:
+            forms.append(f)
+    return forms
+
+
+class TestZeroGap:
+    """csm._zero_gap decides V(forms) = empty in P^n, a chart and a hyperplane
+    at a time, and says which half holds a zero."""
+
+    CHART, HYPERPLANE = "at some point with x_n != 0", "on x_n = 0"
+
+    @FIELDS
+    def test_one_zero_on_each_half(self, field):
+        x, y, z = _ring(3, field).gens()
+        assert csm._zero_gap([x, y]) == self.CHART  # [0:0:1]
+        assert csm._zero_gap([y, z]) == self.HYPERPLANE  # [1:0:0]
+        assert csm._zero_gap([x, y, z]) is None
+        assert csm._zero_gap([x + z, y * y + z * z, x * y]) is None
+
+    @FIELDS
+    def test_no_form_left_on_the_hyperplane(self, field):
+        x, y, z = _ring(3, field).gens()
+        # the chart sees (1, x), the unit ideal; all of V(z) is left
+        assert csm._zero_gap([z * z, x * z]) == self.HYPERPLANE
+
+    @FIELDS
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_forms_match_the_hilbert_dimension(self, n, field):
+        R = _ring(n + 1, field)
+        xn = Ideal(R, [R.var(n)])
+        rng = random.Random(n)
+        seen = set()
+        for count in (n, n + 1) * 20:
+            forms = _sparse_forms(R, count, rng)
+            verdict = csm._zero_gap(forms)
+            I = Ideal(R, forms)
+            assert (verdict is None) == (dimension_and_degree(I).dim < 0)
+            # V(I : x_n^infinity) is the closure of V(I) off x_n = 0
+            on_chart = dimension_and_degree(saturation(I, xn)).dim >= 0
+            assert (verdict == self.CHART) == on_chart
+            seen.add(verdict)
+        assert seen == {None, self.CHART, self.HYPERPLANE}
 
 
 class TestNumericSmoothRoute:
@@ -654,7 +722,8 @@ class TestClosedForms:
         (lambda: _rational_normal_curve(4), 6, 2),  # a P^1
         (_veronese_surface, 6, 3),  # a P^2
         (_segre_p1xp2, 3, 6),  # chi(P^1) chi(P^2)
-    ], ids=["rational_normal_quartic", "veronese_surface", "p1xp2"])
+        (_segre_p1xp3, 6, 8),  # chi(P^1) chi(P^3)
+    ], ids=["rational_normal_quartic", "veronese_surface", "p1xp2", "p1xp3"])
     def test_euler_characteristic(self, make, ngens, chi):
         I = make()
         assert len(I.gens) == ngens
