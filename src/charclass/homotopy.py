@@ -9,7 +9,11 @@ degree-m elements of the ideal, the L_j random linear forms, and the patch
 a random affine chart equation c.x = 1.  The m^d solutions of the
 total-degree start system [a_i y_i^{deg_i} - b_i, patch] are tracked along
 the gamma-trick straight-line homotopy (Euler predictor, Newton corrector,
-adaptive step halving).
+adaptive step halving).  As in Bertini, the corrector works to a loose
+tolerance along the path and a tight one at its end: a step is accepted at
+max|H| <= TRACKING_TOL = 1e-6 (relative to max|x|), and at t = 0 the
+endpoint polish on the target system must reach CORRECTOR_TOL = 1e-10 for
+the path to count as converged.
 
 All m^d paths of a level are tracked together as one (paths x nv) array;
 each path keeps its own t and step size, so it takes the same steps it
@@ -48,13 +52,14 @@ segre.level_degrees draws the level again.
 No information flows between levels (no cascade reuse): each level gets
 fresh random data.
 
-The tolerances and limits (corrector and on-variety tolerances, step sizes,
-Newton iterations) are the module constants below; no argument overrides
-them.  The levels and their retries are segre.level_degrees', shared with
-the symbolic backend.  Only the levels d below dim_k I_m are tracked: at a
-level d >= dim_k I_m the d target rows span all of I_m, deg R_d = 0, and
-level_degrees answers it without calling this backend, so the m^d paths
-that would all end on the singular target are never started.
+The tolerances and limits (the tracking and endpoint corrector tolerances,
+the on-variety tolerance, step sizes, Newton iterations) are the module
+constants below; no argument overrides them.  The levels and their retries
+are segre.level_degrees', shared with the symbolic backend.  Only the
+levels d below dim_k I_m are tracked: at a level d >= dim_k I_m the d
+target rows span all of I_m, deg R_d = 0, and level_degrees answers it
+without calling this backend, so the m^d paths that would all end on the
+singular target are never started.
 
 numpy is loaded on the first numeric call, not at import, so a symbolic run
 never executes it.
@@ -94,7 +99,8 @@ np = _lazy_numpy()
 
 
 # Tolerances and limits of the tracker and of the level counts.
-CORRECTOR_TOL = 1e-10      # corrector and endpoint convergence
+TRACKING_TOL = 1e-6        # corrector convergence along the path (t > 0)
+CORRECTOR_TOL = 1e-10      # endpoint polish at t = 0, "converged" status, start points
 ON_VARIETY_TOL = 1e-8      # endpoint on V(I) below this; ambiguous within 10x
 CLUSTER_TOL = 1e-6         # chordal distance of endpoints on one projective point
 SINGULAR_COND = 1e10       # Jacobian condition number above which a point is singular
@@ -296,12 +302,15 @@ def track_paths(starts, homotopy: StraightLineHomotopy) -> list[PathEndpoint]:
 
     Each path keeps its own t, step size, success streak and halving count:
     Euler predictor and Newton corrector with step halving on failure and
-    doubling after four successes in a row.  The predictor reuses Hx and Ht
-    from the corrector's last evaluation at the accepted point (the start
-    points get one batched evaluation), so no point is evaluated twice.
-    The endpoints are polished by extra Newton steps on the target system.
-    Step underflow or a norm blowup yields status "diverged"; an endpoint
-    where Newton stalls yields "singular".
+    doubling after four successes in a row.  A step is accepted when the
+    corrector reaches TRACKING_TOL (1e-6) within NEWTON_ITERS steps.  The
+    predictor reuses Hx and Ht from the corrector's last evaluation at the
+    accepted point (the start points get one batched evaluation), so no
+    point is evaluated twice.  The endpoints are polished by up to
+    ENDPOINT_NEWTON Newton steps on the target system, and an endpoint is
+    "converged" when that polish reaches CORRECTOR_TOL (1e-10).  Step
+    underflow or a norm blowup yields status "diverged"; an endpoint where
+    Newton stalls yields "singular".
 
     The state of the moving paths (x, t, dt, streak, halvings, Hx, Ht) is
     kept compacted, one row per path, and updated by masks; it is compacted
@@ -330,7 +339,7 @@ def track_paths(starts, homotopy: StraightLineHomotopy) -> list[PathEndpoint]:
                 hx[k], ht[k] = Hxk, Htk
                 return H, Hxk
 
-            ok, _ = _newton(corrector, xn, CORRECTOR_TOL, NEWTON_ITERS, scaled=True)
+            ok, _ = _newton(corrector, xn, TRACKING_TOL, NEWTON_ITERS, scaled=True)
             rej = ~ok  # a rejected row keeps its old point, Hx and Ht
             x = np.where(ok[:, None], xn, x)
             t = np.where(ok, tn, t)

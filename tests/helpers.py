@@ -567,7 +567,7 @@ def reference_track_paths(starts, hom):
                 hx[k], ht[k] = Hx, Ht
                 return H, Hx
 
-            ok, _ = _reference_newton(corrector, xn, homotopy.CORRECTOR_TOL,
+            ok, _ = _reference_newton(corrector, xn, homotopy.TRACKING_TOL,
                                       homotopy.NEWTON_ITERS, scaled=True)
             acc, rej = idx[ok], idx[~ok]
             X[acc], t[acc] = xn[ok], tn[ok]

@@ -8,9 +8,9 @@ on the same ideal, so the tracker is still measured on the Jacobians of
 generator products, which the CLI no longer reaches for smooth input.  Both
 run one subprocess at a time, each under a timeout, and map errors to the
 CLI's exit codes.  The script prints one line per run and, per route, the
-histogram of exit codes and every exit-0 run whose Euler characteristic is
-not 2, the twisted cubic's.  pytest does not collect this file (its name has
-no test_ prefix); run it directly:
+histogram of exit codes with the route's total seconds, and every exit-0 run
+whose Euler characteristic is not 2, the twisted cubic's.  pytest does not
+collect this file (its name has no test_ prefix); run it directly:
 
     python tests/numeric_matrix.py [--repo DIR]
 
@@ -87,17 +87,20 @@ def main(argv=None) -> int:
     for route in ROUTES:
         codes = collections.Counter()
         wrong = []
+        total = 0.0
         for name, field in FIELDS:
             for seed in SEEDS:
                 code, chi, error, seconds = run(args.repo, route, field, seed)
                 codes[code] += 1
+                total += seconds
                 shown = f"chi {chi}" if code == 0 else error
                 print(f"{route} {name} seed {seed:2d}: exit {code} {seconds:6.1f} s  {shown}",
                       flush=True)
                 if code == 0 and chi != CHI:
                     wrong.append(f"{name} seed {seed}: chi {chi}")
         summary.append(f"{route} exit codes: "
-                       + ", ".join(f"{c}: {n}" for c, n in sorted(codes.items(), key=str)))
+                       + ", ".join(f"{c}: {n}" for c, n in sorted(codes.items(), key=str))
+                       + f" in {total:.1f} s")
         summary.append(f"{route} exit 0 with chi != {CHI}: "
                        + ("; ".join(wrong) if wrong else "none"))
     print("\n".join(summary))
